@@ -13,7 +13,6 @@ from .coefficients import (
     coefficient_by_contraction,
     coefficient_row,
     decomposition_table,
-    render_table,
 )
 from .combinatorics import (
     ENUMERATION_LIMIT,
@@ -86,7 +85,6 @@ __all__ = [
     "higher_derangement",
     "higher_derangement_table",
     "leading_block_label",
-    "render_table",
     "stable_to_dynkin",
     "tensor_with_adjoint",
     "trivial_labels",

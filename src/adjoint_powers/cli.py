@@ -75,64 +75,43 @@ def _require_nonnegative(**values: int) -> None:
             raise ValueError(f"--{name} must be nonnegative, got {value}")
 
 
-def _markdown(header: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("|" + "|".join(" --- " for _ in header) + "|")
-    lines.extend("| " + " | ".join(cells) + " |" for cells in rows)
-    return "\n".join(lines)
+def _print_rows(fmt: str, header: list[str], rows) -> None:
+    """Print a table one row at a time: markdown under its header, or CSV
+    without one.  No whole-table string is built."""
+    if fmt == "csv":
+        for cells in rows:
+            print(",".join(cells))
+        return
+    print("| " + " | ".join(header) + " |")
+    print("|" + "|".join(" --- " for _ in header) + "|")
+    for cells in rows:
+        print("| " + " | ".join(cells) + " |")
 
 
 def _cmd_table(args) -> int:
     _require_nonnegative(max=args.max)
-    if args.which == "euler":
-        table = combinatorics.euler_table(args.max)
-        if args.format == "json":
-            payload = {
-                "max_index": table.max_index,
-                "rows": [
-                    {"k": k, "entries": [str(v) for v in table.row(k)]}
-                    for k in range(table.max_index + 1)
-                ],
-            }
-            print(canonical_json(payload))
-        elif args.format == "csv":
-            for k in range(table.max_index + 1):
-                print(",".join([str(k), *map(str, table.row(k))]))
-        else:
-            header = ["k"] + [f"j={j}" for j in range(table.max_index + 1)]
-            rows = [
-                [str(k), *map(str, table.row(k))] for k in range(table.max_index + 1)
-            ]
-            print(_markdown(header, rows))
-        return 0
+    indices = range(args.max + 1)
     if args.which == "derangement":
-        values = [combinatorics.derangement(k) for k in range(args.max + 1)]
+        values = [str(combinatorics.derangement(k)) for k in indices]
         if args.format == "json":
-            payload = {"max_index": args.max, "values": [str(v) for v in values]}
-            print(canonical_json(payload))
-        elif args.format == "csv":
-            for k, value in enumerate(values):
-                print(f"{k},{value}")
+            print(canonical_json({"max_index": args.max, "values": values}))
         else:
-            print(_markdown(["k", "derangements"], [[str(k), str(v)] for k, v in enumerate(values)]))
+            rows = ([str(k), value] for k, value in enumerate(values))
+            _print_rows(args.format, ["k", "derangements"], rows)
         return 0
-    table = combinatorics.higher_derangement_table(args.max)
+    if args.which == "euler":
+        table, index, column = combinatorics.euler_table(args.max), "k", "j"
+    else:
+        table, index, column = combinatorics.higher_derangement_table(args.max), "n", "k"
     if args.format == "json":
         payload = {
             "max_index": table.max_index,
-            "rows": [
-                {"n": m, "entries": [str(v) for v in table.row(m)]}
-                for m in range(table.max_index + 1)
-            ],
+            "rows": [{index: i, "entries": [str(v) for v in table.row(i)]} for i in indices],
         }
         print(canonical_json(payload))
-    elif args.format == "csv":
-        for m in range(table.max_index + 1):
-            print(",".join([str(m), *map(str, table.row(m))]))
     else:
-        header = ["n"] + [f"k={k}" for k in range(table.max_index + 1)]
-        rows = [[str(m), *map(str, table.row(m))] for m in range(table.max_index + 1)]
-        print(_markdown(header, rows))
+        header = [index] + [f"{column}={j}" for j in indices]
+        _print_rows(args.format, header, ([str(i), *map(str, table.row(i))] for i in indices))
     return 0
 
 
@@ -140,37 +119,43 @@ def _cmd_coeffs(args) -> int:
     if args.k is not None:
         _require_nonnegative(k=args.k)
         row = coefficients.coefficient_row(args.k)
+        values = [str(v) for v in row.values]
         if args.format == "json":
-            payload = {"k": row.power, "coefficients": [str(v) for v in row.values]}
-            print(canonical_json(payload))
-        elif args.format == "csv":
-            print(",".join(str(v) for v in row.values))
+            print(canonical_json({"k": row.power, "coefficients": values}))
         else:
-            header = ["k"] + [f"j={j}" for j in range(len(row.values))]
-            print(_markdown(header, [[str(row.power), *map(str, row.values)]]))
+            header = ["k"] + [f"j={j}" for j in range(len(values))]
+            # The single-row CSV is the bare coefficients, without the power.
+            cells = values if args.format == "csv" else [str(row.power), *values]
+            _print_rows(args.format, header, [cells])
         return 0
     _require_nonnegative(upto=args.upto)
     table = coefficients.decomposition_table(args.upto)
-    print(coefficients.render_table(table, args.format))
+    if args.format == "json":
+        payload = {
+            "max_power": table.max_power,
+            "rows": [
+                {"k": row.power, "coefficients": [str(v) for v in row.values]}
+                for row in table.rows
+            ],
+        }
+        print(canonical_json(payload))
+    else:
+        header = ["k"] + [f"j={j}" for j in range(table.max_power + 1)]
+        rows = ([str(row.power), *map(str, row.values)] for row in table.rows)
+        _print_rows(args.format, header, rows)
     return 0
 
 
 def _cmd_series(args) -> int:
     _require_nonnegative(k=args.k, order=args.order)
     series = combinatorics.egf_coefficients(args.k, args.order)
+    values = [str(c) for c in series.coefficients]
     if args.format == "json":
-        payload = {
-            "k": series.parameter,
-            "order": series.order,
-            "coefficients": [str(c) for c in series.coefficients],
-        }
+        payload = {"k": series.parameter, "order": series.order, "coefficients": values}
         print(canonical_json(payload))
-    elif args.format == "csv":
-        for m, value in enumerate(series.coefficients):
-            print(f"{m},{value}")
     else:
-        rows = [[str(m), str(c)] for m, c in enumerate(series.coefficients)]
-        print(_markdown(["m", "coefficient"], rows))
+        rows = ([str(m), value] for m, value in enumerate(values))
+        _print_rows(args.format, ["m", "coefficient"], rows)
     return 0
 
 
@@ -305,13 +290,6 @@ def _label_text(label: lie.StableLabel) -> str:
 
 
 def _cmd_verify_oracle(args) -> int:
-    _require_nonnegative(kmax=args.kmax, n=args.n)
-    if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
-    if 2 * args.kmax > args.n + 1:
-        raise ValueError(
-            f"stable range requires 2*kmax <= n+1, got kmax={args.kmax}, n={args.n}"
-        )
     report = lie.verify_stable_decomposition(args.kmax, args.n)
     if args.format == "json":
         print(canonical_json(report.to_payload()))
@@ -325,6 +303,10 @@ def _cmd_verify_oracle(args) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
+    # Table entries outgrow CPython's default 4,300-digit int-to-str limit
+    # (d_2000 has 5,736 digits); interpreters before 3.10.7 have no limit.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

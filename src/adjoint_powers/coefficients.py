@@ -12,15 +12,26 @@ power k is computed by three independent routes:
   c_{j+1}^k = ((k-j) c_j^k + k c_j^{k-1}) / (j+1)^2 seeded by c_0^k = d_k.
 
 All three must agree entry for entry; every division is exact and
-checked.  :func:`render_table` turns a table into deterministic
-markdown, CSV or JSON text.
+checked.  :func:`coefficient_row` computes the same closed form for a
+whole row from a single difference table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
-from .combinatorics import binomial, derangement, exact_div, factorial, higher_derangement
+from .combinatorics import (
+    binomial,
+    derangement,
+    euler_table,
+    exact_div,
+    factorial,
+    higher_derangement,
+)
+
+# Unused here, but kept bound: perfbench/run.py traces coefficients.canonical_json.
 from .serialize import canonical_json
 
 __all__ = [
@@ -30,11 +41,7 @@ __all__ = [
     "coefficient_by_contraction",
     "coefficient_row",
     "decomposition_table",
-    "render_table",
-    "table_payload",
 ]
-
-RENDER_FORMATS = ("markdown", "csv", "json")
 
 
 @dataclass(frozen=True)
@@ -80,10 +87,22 @@ def coefficient_by_contraction(k: int, p: int) -> int:
 
 
 def coefficient_row(k: int) -> CoefficientRow:
-    """One full row (c_0^k, ..., c_k^k) by the closed form; k = 0 gives (1,)."""
+    """One full row (c_0^k, ..., c_k^k) by the closed form; k = 0 gives (1,).
+
+    Row k of one difference table is divided entry by entry by a running
+    j!, giving d_k^j, and weighted by C(k, j).
+    """
     if k < 0:
         raise ValueError("coefficient_row requires k >= 0")
-    return CoefficientRow(k, tuple(coefficient(k, j) for j in range(k + 1)))
+    entries = euler_table(k).row(k)
+    factorials = accumulate(range(1, k + 1), mul, initial=1)
+    return CoefficientRow(
+        k,
+        tuple(
+            binomial(k, j) * exact_div(entry, j_factorial)
+            for j, (entry, j_factorial) in enumerate(zip(entries, factorials))
+        ),
+    )
 
 
 def decomposition_table(max_power: int) -> DecompositionTable:
@@ -105,42 +124,3 @@ def decomposition_table(max_power: int) -> DecompositionTable:
         rows.append(CoefficientRow(k, previous))
     return DecompositionTable(max_power, tuple(rows))
 
-
-def table_payload(table: DecompositionTable) -> dict:
-    """JSON-ready form of a table; coefficient values as decimal strings."""
-    return {
-        "max_power": table.max_power,
-        "rows": [
-            {"k": row.power, "coefficients": [str(v) for v in row.values]}
-            for row in table.rows
-        ],
-    }
-
-
-def _markdown_lines(header_cells: list[str], body_rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(header_cells) + " |"]
-    lines.append("|" + "|".join(" --- " for _ in header_cells) + "|")
-    for cells in body_rows:
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines)
-
-
-def render_table(table: DecompositionTable, fmt: str) -> str:
-    """Render a table as markdown, CSV or JSON.
-
-    Markdown carries a header (an empty table renders as the header
-    alone); CSV is one unpadded ``k,c_0,...,c_k`` line per power; JSON
-    is the canonical envelope.
-    """
-    if fmt == "markdown":
-        width = max((len(row.values) for row in table.rows), default=0)
-        header = ["k"] + [f"j={j}" for j in range(width)]
-        body = [[str(row.power), *map(str, row.values)] for row in table.rows]
-        return _markdown_lines(header, body)
-    if fmt == "csv":
-        return "\n".join(
-            ",".join([str(row.power), *map(str, row.values)]) for row in table.rows
-        )
-    if fmt == "json":
-        return canonical_json(table_payload(table))
-    raise ValueError(f"unknown format {fmt!r}")

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 import math
+from operator import mul
 
 __all__ = [
     "ENUMERATION_LIMIT",
@@ -209,8 +210,9 @@ class HigherDerangementTable:
 def higher_derangement_table(max_index: int) -> HigherDerangementTable:
     """Divide the difference table column-wise by k! to get all d[n][k]."""
     base = euler_table(max_index)
+    factorials = list(accumulate(range(1, max_index + 1), mul, initial=1))
     rows = tuple(
-        tuple(exact_div(base.entry(n, k), factorial(k)) for k in range(n + 1))
+        tuple(exact_div(entry, factorials[k]) for k, entry in enumerate(base.row(n)))
         for n in range(max_index + 1)
     )
     return HigherDerangementTable(max_index, rows)

@@ -347,44 +347,50 @@ def dynkin_to_stable(labels: Labels, n: int) -> StableLabel:
     return StableLabel(left, right)
 
 
+def _check_stable_range(k_max: int, n: int) -> None:
+    """Refuse a power and rank outside the stable range 2*k_max <= n+1."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    _check_rank(n)
+    if 2 * k_max > n + 1:
+        raise ValueError(f"stable range requires 2*k_max <= n+1, got ({k_max}, {n})")
+
+
 def _extraction_steps(k_max: int, n: int):
-    """Yield, for k = 0..k_max, the power decomposition (stable form) and the
-    residual block left after subtracting all earlier blocks with their
-    coefficients.  Blocks 0 and 1 are definitional."""
+    """Yield, for k = 0..k_max, the power decomposition, its stable form, and
+    blocks 0..k, where block k is the stable form left after subtracting
+    every earlier block weighted by its coefficient."""
     power = {trivial_labels(n): 1}
     blocks: list[dict[StableLabel, int]] = []
     for k in range(k_max + 1):
         if k:
             power = tensor_with_adjoint(power, n)
         stable = {dynkin_to_stable(lab, n): m for lab, m in power.items()}
-        if k == 0:
-            block = {StableLabel((), ()): 1}
-        elif k == 1:
-            block = {StableLabel((1,), (1,)): 1}
-        else:
-            block = dict(stable)
-            for p in range(k):
-                c = coefficient(k, p)
-                for lab, m in blocks[p].items():
-                    block[lab] = block.get(lab, 0) - c * m
-            block = {lab: m for lab, m in block.items() if m}
-        blocks.append(block)
+        block = dict(stable)
+        for p in range(k):
+            c = coefficient(k, p)
+            for lab, m in blocks[p].items():
+                block[lab] = block.get(lab, 0) - c * m
+        blocks.append({lab: m for lab, m in block.items() if m})
         yield k, power, stable, blocks
+
+
+def _misplaced_labels(block: dict[StableLabel, int], k: int) -> dict[StableLabel, int]:
+    """Entries of block k whose label lacks k boxes per side: an earlier
+    block's labels, left over or oversubtracted by a miscounted coefficient."""
+    return {lab: m for lab, m in block.items() if sum(lab.left) != k}
 
 
 def extract_stable_blocks(k_max: int, n: int) -> list[dict[StableLabel, int]]:
     """Blocks 0..k_max as stable-label multisets, extracted triangularly.
 
     Block k is the k-th power minus all earlier blocks weighted by their
-    coefficients.  A negative multiplicity, or a leading label missing
-    or off unit multiplicity, falsifies the decomposition at this rank
-    and raises :class:`BlockExtractionError`.
+    coefficients.  A negative multiplicity, a label without exactly k
+    boxes per side, or a leading label missing or off unit multiplicity
+    falsifies the decomposition at this rank and raises
+    :class:`BlockExtractionError`.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    _check_rank(n)
-    if 2 * k_max > n + 1:
-        raise ValueError(f"stable range requires 2*k_max <= n+1, got ({k_max}, {n})")
+    _check_stable_range(k_max, n)
     result: list[dict[StableLabel, int]] = []
     for k, _power, _stable, blocks in _extraction_steps(k_max, n):
         block = blocks[k]
@@ -392,6 +398,11 @@ def extract_stable_blocks(k_max: int, n: int) -> list[dict[StableLabel, int]]:
         if negatives:
             raise BlockExtractionError(
                 f"block {k} at rank {n} has negative multiplicities: {negatives}"
+            )
+        misplaced = _misplaced_labels(block, k)
+        if misplaced:
+            raise BlockExtractionError(
+                f"block {k} at rank {n} has labels without {k} boxes per side: {misplaced}"
             )
         if block.get(leading_block_label(k), 0) != 1:
             raise BlockExtractionError(
@@ -413,7 +424,6 @@ class PowerCheck:
     leading_ok: bool
     negative_entries: dict[StableLabel, int] = field(default_factory=dict)
     residual: dict[StableLabel, tuple[int, int]] = field(default_factory=dict)
-    seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -477,34 +487,21 @@ def _label_payload(label: StableLabel) -> list[list[int]]:
 def verify_stable_decomposition(k_max: int, n: int) -> VerificationReport:
     """Certify the decomposition for every power up to k_max at rank n.
 
-    Per power: (a) the power equals the coefficient-weighted sum of the
-    extracted blocks, (b) total dimension balances against
-    ((n+1)^2 - 1)^k, (c) blocks are nonnegative with unit leading label,
-    (d) the trivial rep appears exactly d_k times.  Failures are data in
-    the report, not exceptions.
+    Per power: (a) every label in block k has exactly k boxes per side,
+    any other being a residual (expected 0, observed m), (b) total
+    dimension balances against ((n+1)^2 - 1)^k, (c) blocks are
+    nonnegative with unit leading label, (d) the trivial rep appears
+    exactly d_k times.  Block k is the remainder of the power, so the
+    weighted block sum equals the power by construction; a miscounted
+    coefficient shows up under (a).  Failures are data in the report,
+    not exceptions.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    _check_rank(n)
-    if 2 * k_max > n + 1:
-        raise ValueError(f"stable range requires 2*k_max <= n+1, got ({k_max}, {n})")
+    _check_stable_range(k_max, n)
     adjoint_dim = (n + 1) ** 2 - 1
     started = time.perf_counter()
     checks: list[PowerCheck] = []
     for k, power, stable, blocks in _extraction_steps(k_max, n):
-        step_started = time.perf_counter()
         block = blocks[k]
-        combo: dict[StableLabel, int] = {}
-        for p in range(k + 1):
-            c = coefficient(k, p)
-            for lab, m in blocks[p].items():
-                combo[lab] = combo.get(lab, 0) + c * m
-        combo = {lab: m for lab, m in combo.items() if m}
-        residual = {
-            lab: (combo.get(lab, 0), stable.get(lab, 0))
-            for lab in set(combo) | set(stable)
-            if combo.get(lab, 0) != stable.get(lab, 0)
-        }
         checks.append(
             PowerCheck(
                 power=k,
@@ -516,8 +513,7 @@ def verify_stable_decomposition(k_max: int, n: int) -> VerificationReport:
                 trivial_observed=stable.get(StableLabel((), ()), 0),
                 leading_ok=block.get(leading_block_label(k), 0) == 1,
                 negative_entries={lab: m for lab, m in block.items() if m < 0},
-                residual=residual,
-                seconds=time.perf_counter() - step_started,
+                residual={lab: (0, m) for lab, m in _misplaced_labels(block, k).items()},
             )
         )
     return VerificationReport(

@@ -156,10 +156,11 @@ def test_criterion_6_lie_certification():
 
 
 def test_criterion_7_high_power_substitute():
-    # Reproducing powers beyond 4 through the oracle is not desk-feasible
-    # (power 10 alone needs rank >= 19).  The accepted substitute is the
-    # route agreement of criteria 2-3 restricted to those powers, plus the
-    # rank-stability check of criterion 6.
+    # Powers 5-10 are covered here by the route agreement of criteria 2-3
+    # restricted to those powers, plus the rank-stability check of
+    # criterion 6.  The oracle reaches them as well (power 10 needs rank
+    # >= 19; `verify oracle --kmax 10 --n 19` passes in about 5 s), but
+    # that run is left to the benchmark rather than this budget.
     def body():
         table = decomposition_table(10)
         for k in range(5, 11):

@@ -1,10 +1,11 @@
 """CLI contract: exact output, formats, exit codes, JSON round trips."""
 
+import hashlib
 import json
 
 import pytest
 
-from adjoint_powers import PowerCheck, VerificationReport
+from adjoint_powers import PowerCheck, VerificationReport, coefficient, derangement
 from adjoint_powers.cli import run
 
 
@@ -22,6 +23,12 @@ def test_table_derangement_eleven_values(capsys):
     assert lines[0] == "0,1"
     assert lines[6] == "6,265"
     assert lines[10] == "10,1334961"
+    # d_2000 has 5,736 digits, beyond CPython's default int-to-str limit.
+    code, out, _ = invoke(["table", "derangement", "--max", "2000", "--format", "csv"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2001
+    assert lines[-1] == f"2000,{derangement(2000)}"
 
 
 def test_table_euler_csv(capsys):
@@ -51,7 +58,20 @@ def test_coeffs_upto_csv(capsys):
 def test_coeffs_upto_markdown(capsys):
     code, out, _ = invoke(["coeffs", "--upto", "3"], capsys)
     assert code == 0
-    assert "| 3 | 2 | 9 | 6 | 1 |" in out.splitlines()
+    lines = out.splitlines()
+    assert lines[0] == "| k | j=0 | j=1 | j=2 | j=3 |"
+    assert lines[1] == "| --- | --- | --- | --- | --- |"
+    assert lines[-1] == "| 3 | 2 | 9 | 6 | 1 |"
+
+
+def test_coeffs_upto_json_keeps_big_integers_as_strings(capsys):
+    code, out, _ = invoke(["coeffs", "--upto", "25", "--format", "json"], capsys)
+    assert code == 0
+    row25 = json.loads(out)["rows"][24]
+    assert row25["k"] == 25
+    assert all(isinstance(v, str) for v in row25["coefficients"])
+    # c_1^25 exceeds 64-bit range; the decimal string must survive parsing.
+    assert int(row25["coefficients"][1]) == coefficient(25, 1) > 2**63
 
 
 def test_coeffs_flags_are_exclusive(capsys):
@@ -150,6 +170,8 @@ def test_json_round_trips(argv, capsys):
     "argv",
     [
         ["table", "euler", "--max", "9", "--format", "csv"],
+        ["coeffs", "--upto", "8", "--format", "markdown"],
+        ["coeffs", "--upto", "8", "--format", "csv"],
         ["coeffs", "--upto", "10", "--format", "json"],
         ["verify", "oracle", "--kmax", "2", "--n", "5", "--format", "json"],
     ],
@@ -168,7 +190,51 @@ def test_usage_errors_exit_two(capsys):
     assert invoke(["coeffs"], capsys)[0] == 2
     assert invoke(["table", "euler", "--max", "-3"], capsys)[0] == 2
     assert invoke(["verify", "oracle", "--kmax", "1", "--n", "0"], capsys)[0] == 2
+    assert invoke(["coeffs", "--upto", "3", "--format", "latex"], capsys)[0] == 2
 
 
 def test_help_exits_zero(capsys):
     assert invoke(["--help"], capsys)[0] == 0
+
+
+# Exit code and stdout sha256 of every README command in every format, plus
+# the two one-row edge cases: stdout bytes are part of the CLI contract.
+GOLDEN_DIGESTS = [
+    ("table euler --max 9 --format markdown", 0, "c6aeed3500ecc495f14ea91cccaa3f71ae74cafa43f301bf8295d72fc7c2154e"),
+    ("table euler --max 9 --format csv", 0, "9bbff5f1fdb83232d4ad9436d37eef9ee74e665eb0261324ca3448a343e6c2ea"),
+    ("table euler --max 9 --format json", 0, "7232b8e8bf1ff0eb748623bea86fd200f8ed8ff22b39a5d2793e1d3bc4efb8c4"),
+    ("table derangement --max 10 --format markdown", 0, "cc418116f6e2f872dd406a10c9ce3812d5a3f479a8527ccbc00b20f79704e6f1"),
+    ("table derangement --max 10 --format csv", 0, "698685926dded6c994550fc5f0542368cfb52c6cd33ccce0c550569df62417e9"),
+    ("table derangement --max 10 --format json", 0, "52f6243fb9cf056d35e46cdf05f34601d4073c7ad33edbb4e7b4d6cfe5fb99de"),
+    ("table higher --max 9 --format markdown", 0, "4095193f0804de2089c020233ae31dd7c45e3c5e9ac447c6f52e442c15e808a9"),
+    ("table higher --max 9 --format csv", 0, "2757e23420034d3c6df1fd86276a71e84fc4e49fdd6d05f2740f6da8e96218a6"),
+    ("table higher --max 9 --format json", 0, "61e5439e264430e19e8bc0dec4b930293ed6ebd6a8f68da432d922d0060057e2"),
+    ("coeffs --k 6 --format markdown", 0, "da7e7802635f9d6d1ec1b287c046f012102f59cd25f3b0437eb41e697cb52b14"),
+    ("coeffs --k 6 --format csv", 0, "50a7e23a797d65dea1063eadb7f40a56c0712083e81cd1569abfaa4407d76bb3"),
+    ("coeffs --k 6 --format json", 0, "3ad3cbebdb6577e5657abab59903b18d8f4e18dcb9fefcef74aba8dc9e1b118d"),
+    ("coeffs --upto 10 --format markdown", 0, "99325346bfd37fc72a44f722721922e64d40ddc4386a437f5d246d9e330e4c21"),
+    ("coeffs --upto 10 --format csv", 0, "931c72da64aaabf58e3c1f8bea0c58772341672d20e7112e6506e9db2c6670ca"),
+    ("coeffs --upto 10 --format json", 0, "9f7d90e72ce2d1f005df222d5bce861f4159a1b93b59cbdd576ea3359801c71e"),
+    ("series --k 2 --order 20 --format markdown", 0, "9a34536e3856ab68051d42c0ddcd1457c9ac1d4adcb5f7a9589196973ac679e8"),
+    ("series --k 2 --order 20 --format csv", 0, "35fdf78d6fa2032590fd4e973692caa7e659c2697c27ef1903653734f73d8e6d"),
+    ("series --k 2 --order 20 --format json", 0, "c5a399674a9d59ec802c0dfecc3f8d8a23bcfb373d8093b39c988e066f42ef0e"),
+    ("verify combinatorics --max 30 --format text", 0, "7a75c104c2a3e58bc17a381fc7bf2d2dd1965ddeb44d27898e0060df86bc3125"),
+    ("verify combinatorics --max 30 --format json", 0, "6ad2c398e12b8441585bc36c044f77b512c1ef2f998eae364c2f4974f53f1883"),
+    ("verify oracle --kmax 3 --n 6 --format text", 0, "26faca26590531f27933435a9bacbd8b281cf857872ff9f0fbc87227d43b4a67"),
+    ("verify oracle --kmax 3 --n 6 --format json", 0, "e56055ffee2ea924279cba6f19ff9e21cd78722973a09d6e341b26a174001c72"),
+    ("coeffs --k 0 --format markdown", 0, "89375b54d35ed5b69e489616fd452c415082878f74be4d85cf3258766e6a97a4"),
+    ("coeffs --k 0 --format csv", 0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    ("coeffs --k 0 --format json", 0, "864f0161a33c9e78b316b582205ba75e8974049ebd3af283d332b38ae49adf54"),
+    ("table euler --max 0 --format markdown", 0, "89375b54d35ed5b69e489616fd452c415082878f74be4d85cf3258766e6a97a4"),
+    ("table euler --max 0 --format csv", 0, "8d66c089414bb76bc2ee5c11465c93257821752b4e08be4f1d70737b9fa10f0c"),
+    ("table euler --max 0 --format json", 0, "a61fe1b9d00b2bda3d9cc5c953c3c416faddc06184c9b4bb47ced2cbb52b2a38"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,exit_code,digest", GOLDEN_DIGESTS, ids=[c for c, _, _ in GOLDEN_DIGESTS]
+)
+def test_stdout_is_byte_identical_to_golden(command, exit_code, digest, capsys):
+    code, out, _ = invoke(command.split(), capsys)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

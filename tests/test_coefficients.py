@@ -1,18 +1,14 @@
-"""Coefficient rows: golden values, route agreement, rendering."""
-
-import json
+"""Coefficient rows: golden values, route agreement."""
 
 import pytest
 
 from adjoint_powers import (
     CoefficientRow,
-    DecompositionTable,
     coefficient,
     coefficient_by_contraction,
     coefficient_row,
     decomposition_table,
     derangement,
-    render_table,
 )
 
 # Reference decomposition rows for powers 1..10 (65 coefficients).
@@ -115,46 +111,3 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         decomposition_table(3).row(4)
 
-
-def test_render_markdown_row():
-    text = render_table(decomposition_table(3), "markdown")
-    lines = text.splitlines()
-    assert lines[0] == "| k | j=0 | j=1 | j=2 | j=3 |"
-    assert lines[-1] == "| 3 | 2 | 9 | 6 | 1 |"
-
-
-def test_render_csv_rows():
-    text = render_table(decomposition_table(3), "csv")
-    assert text.splitlines() == ["1,0,1", "2,1,2,1", "3,2,9,6,1"]
-
-
-def test_render_empty_table():
-    empty = DecompositionTable(0, ())
-    markdown = render_table(empty, "markdown")
-    assert markdown.splitlines() == ["| k |", "| --- |"]
-    assert render_table(empty, "csv") == ""
-    assert json.loads(render_table(empty, "json"))["rows"] == []
-
-
-def test_render_json_round_trip_and_big_integers():
-    table = decomposition_table(25)
-    text = render_table(table, "json")
-    payload = json.loads(text)
-    assert json.dumps(payload, indent=2, sort_keys=True) == text
-    row25 = payload["rows"][24]
-    assert row25["k"] == 25
-    assert all(isinstance(v, str) for v in row25["coefficients"])
-    # c_1^25 exceeds 64-bit range; the decimal string must survive parsing.
-    assert int(row25["coefficients"][1]) == coefficient(25, 1)
-    assert coefficient(25, 1) > 2**63
-
-
-def test_render_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        render_table(decomposition_table(2), "latex")
-
-
-def test_render_is_deterministic():
-    table = decomposition_table(8)
-    for fmt in ("markdown", "csv", "json"):
-        assert render_table(table, fmt) == render_table(table, fmt)

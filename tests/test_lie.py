@@ -18,6 +18,7 @@ from adjoint_powers import (
     extract_stable_blocks,
     freudenthal_weights,
     leading_block_label,
+    lie,
     stable_to_dynkin,
     tensor_with_adjoint,
     trivial_labels,
@@ -321,6 +322,29 @@ def test_verify_vacuous_single_power():
 def test_verify_range_gate():
     with pytest.raises(ValueError):
         verify_stable_decomposition(3, 3)
+
+
+@pytest.mark.parametrize("error", [-1, 1])
+def test_miscounted_coefficient_is_caught(error, monkeypatch):
+    # Block 4 is the remainder after subtracting c(4, p) copies of each
+    # earlier block, so a wrong c(4, 2) leaves block-2 labels (two boxes
+    # per side) in it, with positive or negative multiplicity.
+    true_coefficient = lie.coefficient
+    monkeypatch.setattr(
+        lie,
+        "coefficient",
+        lambda k, p: true_coefficient(k, p) + (error if (k, p) == (4, 2) else 0),
+    )
+    report = verify_stable_decomposition(4, 7)
+    assert not report.passed
+    assert all(check.passed for check in report.checks[:4])
+    residual = report.checks[4].residual
+    assert residual
+    for label, (expected, observed) in residual.items():
+        assert sum(label.left) == 2
+        assert expected == 0 and observed != 0
+    with pytest.raises(BlockExtractionError):
+        extract_stable_blocks(4, 7)
 
 
 def test_verify_report_payload():
