@@ -1,4 +1,4 @@
-"""Coefficient rows: golden values, route agreement."""
+"""Coefficient rows: golden values, route agreement, rendering."""
 
 import pytest
 
@@ -10,6 +10,7 @@ from adjoint_powers import (
     decomposition_table,
     derangement,
 )
+from adjoint_powers.cli import run
 
 # Reference decomposition rows for powers 1..10 (65 coefficients).
 GOLDEN_ROWS = {
@@ -111,3 +112,34 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         decomposition_table(3).row(4)
 
+
+# Rendering lives in the CLI: decomposition tables print through its one
+# streaming row renderer, so these tests render via ``coeffs``.
+def render(argv, capsys):
+    code = run(["coeffs", *argv])
+    return code, capsys.readouterr().out
+
+
+def test_render_markdown_row(capsys):
+    code, text = render(["--upto", "3", "--format", "markdown"], capsys)
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[0] == "| k | j=0 | j=1 | j=2 | j=3 |"
+    assert lines[1] == "| --- | --- | --- | --- | --- |"
+    assert lines[-1] == "| 3 | 2 | 9 | 6 | 1 |"
+
+
+def test_render_csv_rows(capsys):
+    code, text = render(["--upto", "6", "--format", "csv"], capsys)
+    assert code == 0
+    table = decomposition_table(6)
+    assert text.splitlines() == [
+        ",".join(map(str, (row.power, *row.values))) for row in table.rows
+    ]
+
+
+def test_render_rejects_unknown_format(capsys):
+    for argv in (["--upto", "2"], ["--k", "2"]):
+        code, text = render([*argv, "--format", "latex"], capsys)
+        assert code == 2
+        assert text == ""
