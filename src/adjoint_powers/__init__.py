@@ -23,6 +23,7 @@ from .combinatorics import (
     binomial,
     derangement,
     derangement_enumeration_oracle,
+    derangement_numbers,
     egf_coefficients,
     euler_table,
     exact_div,
@@ -75,6 +76,7 @@ __all__ = [
     "decomposition_table",
     "derangement",
     "derangement_enumeration_oracle",
+    "derangement_numbers",
     "dynkin_to_stable",
     "egf_coefficients",
     "euler_table",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, permutations
+from itertools import accumulate, count, islice, permutations
 import math
 from operator import mul
 
@@ -26,6 +26,7 @@ __all__ = [
     "binomial",
     "derangement",
     "derangement_enumeration_oracle",
+    "derangement_numbers",
     "egf_coefficients",
     "euler_table",
     "exact_div",
@@ -123,12 +124,7 @@ def derangement(k: int, method: str = "adjacent") -> int:
     if k < 0:
         raise ValueError("derangement requires k >= 0")
     if method == "adjacent":
-        prev, curr = 1, 0  # d_0, d_1
-        if k == 0:
-            return prev
-        for i in range(2, k + 1):
-            prev, curr = curr, (i - 1) * (curr + prev)
-        return curr
+        return next(islice(derangement_numbers(), k, None))
     if method == "alternating":
         value = 1
         for i in range(1, k + 1):
@@ -139,6 +135,16 @@ def derangement(k: int, method: str = "adjacent") -> int:
     raise ValueError(
         f"unknown derangement method {method!r}; expected one of {DERANGEMENT_METHODS}"
     )
+
+
+def derangement_numbers():
+    """d_0, d_1, d_2, ... without end, in one pass of the adjacent
+    recurrence d_k = (k-1) (d_{k-1} + d_{k-2})."""
+    prev, curr = 1, 0  # d_0, d_1
+    yield prev
+    for i in count(2):
+        yield curr
+        prev, curr = curr, (i - 1) * (curr + prev)
 
 
 def derangement_enumeration_oracle(k: int) -> int:

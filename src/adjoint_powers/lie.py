@@ -9,10 +9,13 @@ combinatorial coefficients, in the stable range 2k <= n+1.
 Weights are handled in (n+1)-entry integer coordinates defined up to a
 uniform shift; the canonical representative has minimum entry zero, so
 equality is plain tuple comparison.  Tensor steps always multiply by
-the adjoint, whose weight system is closed form (the (n+1)n root
-vectors plus the zero weight with multiplicity n); the Freudenthal
-recursion is kept alongside as an independent cross-check on weight
-systems, not as part of the product path.
+the adjoint and follow the box-move rule: V(lam) x adjoint is the sum
+of V(lam + e_i - e_j) over the dominant results, one box moved from row
+j to row i, plus V(lam) once per nonzero Dynkin label, so no weight is
+reflected to the dominant chamber.  The adjoint weight system is closed
+form (the (n+1)n root vectors plus the zero weight with multiplicity
+n); it and the Freudenthal recursion are kept as independent
+cross-checks, not as part of the product path.
 """
 
 from __future__ import annotations
@@ -50,7 +53,11 @@ Weight = tuple[int, ...]
 
 
 class NegativeMultiplicityError(ArithmeticError):
-    """A signed accumulation finished negative: a reflection/sign bug."""
+    """A signed accumulation finished negative: a reflection/sign bug.
+
+    No production path raises it: the signed-reflection tensor step that
+    the tests keep as a cross-check of the box-move step does.
+    """
 
 
 class BlockExtractionError(ArithmeticError):
@@ -108,16 +115,20 @@ def weyl_dimension(labels: Labels, n: int) -> int:
     """Dimension of the irreducible with the given highest weight.
 
     Product over i < j of (l_i - l_j) / (j - i) on the rho-shifted parts;
-    the division is exact and checked.
+    the division is exact and checked.  A pair of equal parts contributes
+    (j - i) / (j - i) = 1 and is skipped.
     """
     _check_rank(n)
     _check_labels(labels, n)
-    shifted = [p + r for p, r in zip(_partition(labels, n), _rho(n))]
+    parts = _partition(labels, n)
     numerator = 1
     denominator = 1
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            numerator *= shifted[i] - shifted[j]
+    first_lower = n + 1  # first index whose part is below parts[i]
+    for i in range(n - 1, -1, -1):
+        if labels[i]:
+            first_lower = i + 1
+        for j in range(first_lower, n + 1):
+            numerator *= parts[i] - parts[j] + j - i
             denominator *= j - i
     return exact_div(numerator, denominator)
 
@@ -205,66 +216,62 @@ def freudenthal_weights(labels: Labels, n: int) -> dict[Weight, int]:
     return system
 
 
-def _adjoint_deltas(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """Adjoint weight system as raw sum-zero shift vectors."""
-    deltas = []
+def adjoint_weight_system(n: int) -> dict[Weight, int]:
+    """The (n+1)n root weights with multiplicity 1 plus the zero weight with multiplicity n.
+
+    The root e_i - e_j, normalized, is 2 at i, 0 at j and 1 elsewhere.
+    """
+    _check_rank(n)
+    system = {(0,) * (n + 1): n}
     for i in range(n + 1):
         for j in range(n + 1):
-            if i == j:
-                continue
-            vec = [0] * (n + 1)
-            vec[i] = 1
-            vec[j] = -1
-            deltas.append((tuple(vec), 1))
-    deltas.append(((0,) * (n + 1), n))
-    return deltas
-
-
-def adjoint_weight_system(n: int) -> dict[Weight, int]:
-    """The (n+1)n root weights with multiplicity 1 plus the zero weight with multiplicity n."""
-    _check_rank(n)
-    return {normalize_weight(vec): mult for vec, mult in _adjoint_deltas(n)}
-
-
-def _sort_with_sign(values: list[int]) -> tuple[int, tuple[int, ...]]:
-    # Sign of the permutation sorting into strictly decreasing order;
-    # a repeated value sits on a reflection wall and contributes zero.
-    size = len(values)
-    if len(set(values)) != size:
-        return 0, ()
-    inversions = sum(
-        1 for a in range(size) for b in range(a + 1, size) if values[a] < values[b]
-    )
-    return (-1 if inversions % 2 else 1), tuple(sorted(values, reverse=True))
+            if i != j:
+                root = [1] * (n + 1)
+                root[i] = 2
+                root[j] = 0
+                system[tuple(root)] = 1
+    return system
 
 
 def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
     """One tensor step: decompose (state) x adjoint into irreducibles.
 
-    For every irrep in the state and every adjoint weight, the
-    rho-shifted sum is reflected to the dominant chamber with the sign
-    of the sorting permutation, dropping anything on a wall.  Signed
-    contributions must settle to nonnegative totals.
+    Box-move rule: V(lam) x adjoint is the sum of V(lam + e_i - e_j) over
+    rows i != j for which the result is dominant (row i gains a box, row
+    j loses one), plus V(lam) once per nonzero Dynkin label of lam.  In
+    Dynkin labels, row i can gain a box only if i = 0 or a_{i-1} > 0, and
+    row j can lose one only if j = n or a_j > 0; only those rows are
+    enumerated, so no weight is reflected and nothing cancels.
     """
     _check_rank(n)
-    rho = _rho(n)
-    deltas = _adjoint_deltas(n)
     out: dict[Labels, int] = {}
     for labels, mult in state.items():
         _check_labels(labels, n)
         if mult <= 0:
             raise ValueError(f"multiplicities must be positive, got {mult} for {labels}")
-        base = [p + r for p, r in zip(_partition(labels, n), rho)]
-        for delta, weight_mult in deltas:
-            sign, ordered = _sort_with_sign([b + d for b, d in zip(base, delta)])
-            if sign == 0:
-                continue
-            key = _labels_of([s - r for s, r in zip(ordered, rho)])
-            out[key] = out.get(key, 0) + sign * weight_mult * mult
-    negatives = {k: v for k, v in out.items() if v < 0}
-    if negatives:
-        raise NegativeMultiplicityError(f"negative multiplicities: {negatives}")
-    return {k: v for k, v in out.items() if v}
+        gaining = [i for i in range(n + 1) if i == 0 or labels[i - 1]]
+        losing = [j for j in range(n + 1) if j == n or labels[j]]
+        for i in gaining:
+            for j in losing:
+                # i == j is the zero weight, counted below; for i == j + 1
+                # both moves lower a_j, which must therefore be at least 2.
+                if i == j or (i == j + 1 and labels[j] < 2):
+                    continue
+                moved = list(labels)
+                if i:
+                    moved[i - 1] -= 1
+                if i < n:
+                    moved[i] += 1
+                if j:
+                    moved[j - 1] += 1
+                if j < n:
+                    moved[j] -= 1
+                key = tuple(moved)
+                out[key] = out.get(key, 0) + mult
+        nonzero = n - labels.count(0)
+        if nonzero:
+            out[labels] = out.get(labels, 0) + nonzero * mult
+    return out
 
 
 def adjoint_power(k: int, n: int) -> dict[Labels, int]:

@@ -157,10 +157,9 @@ def test_criterion_6_lie_certification():
 
 def test_criterion_7_high_power_substitute():
     # Powers 5-10 are covered here by the route agreement of criteria 2-3
-    # restricted to those powers, plus the rank-stability check of
-    # criterion 6.  The oracle reaches them as well (power 10 needs rank
-    # >= 19; `verify oracle --kmax 10 --n 19` passes in about 5 s), but
-    # that run is left to the benchmark rather than this budget.
+    # restricted to those powers, plus rank stability: the blocks of every
+    # power k <= 6 are the same at ranks 2k-1 and 2k+1.  Criterion 8
+    # certifies powers up to 10 with the oracle directly, at rank 19.
     def body():
         table = decomposition_table(10)
         for k in range(5, 11):
@@ -168,5 +167,25 @@ def test_criterion_7_high_power_substitute():
             for j in range(k + 1):
                 assert coefficient(k, j) == coefficient_by_contraction(k, j) == row[j]
         assert extract_stable_blocks(3, 5) == extract_stable_blocks(3, 7)
+        for k in range(1, 7):
+            assert extract_stable_blocks(k, 2 * k - 1) == extract_stable_blocks(k, 2 * k + 1), (
+                f"blocks up to {k} differ between ranks {2 * k - 1} and {2 * k + 1}"
+            )
 
     _criterion(7, "high powers covered by route agreement and rank stability", 10.0, body)
+
+
+def test_criterion_8_oracle_to_power_10():
+    # Power 10 needs rank >= 19 for the stable range 2k <= n+1.
+    def body():
+        report = verify_stable_decomposition(10, 19)
+        assert report.passed, "certification failed at k_max=10, n=19"
+        assert [check.power for check in report.checks] == list(range(11))
+        for check in report.checks:
+            assert check.dimension_observed == 399**check.power
+            assert check.trivial_observed == derangement(check.power)
+            assert check.leading_ok
+            assert not check.negative_entries
+            assert not check.residual
+
+    _criterion(8, "oracle certification of every power up to 10", 15.0, body)

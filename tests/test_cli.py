@@ -104,6 +104,18 @@ def test_verify_combinatorics_full_sweep(capsys):
     assert out.splitlines()[-1] == "result: PASS"
 
 
+def test_verify_combinatorics_records_value_error_as_failure(capsys, monkeypatch):
+    def out_of_domain(n, k, method="table"):
+        raise ValueError(f"planted domain error at ({n}, {k})")
+
+    monkeypatch.setattr("adjoint_powers.cli.combinatorics.higher_derangement", out_of_domain)
+    code, out, _ = invoke(["verify", "combinatorics", "--max", "4"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL higher derangement routes agree (0..4): domain error: planted domain error at (0, 0)" in lines
+    assert lines[-1] == "result: FAIL"
+
+
 def test_verify_oracle_passes(capsys):
     code, out, err = invoke(["verify", "oracle", "--kmax", "2", "--n", "3"], capsys)
     assert code == 0

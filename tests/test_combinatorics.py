@@ -1,6 +1,7 @@
 """Golden tables and cross-route checks for the difference-table module."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -9,6 +10,7 @@ from adjoint_powers import (
     binomial,
     derangement,
     derangement_enumeration_oracle,
+    derangement_numbers,
     egf_coefficients,
     euler_table,
     exact_div,
@@ -138,6 +140,7 @@ def test_euler_table_bounds():
 def test_derangement_golden_all_methods():
     for method in ("adjacent", "alternating", "table"):
         assert tuple(derangement(k, method) for k in range(11)) == DERANGEMENTS
+    assert tuple(islice(derangement_numbers(), 11)) == DERANGEMENTS
 
 
 def test_derangement_seeds():

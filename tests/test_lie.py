@@ -1,14 +1,19 @@
 """Lie oracle: weight systems, tensor steps, block extraction, certification.
 
-The tensor step is cross-checked against a brute-force oracle that
-convolves full weight-system characters and strips highest weights
-iteratively; it shares no code with the signed reflection path.
+The box-move tensor step is cross-checked against two test-side steps
+that share no code with it: a brute-force oracle that convolves full
+weight-system characters and strips highest weights iteratively, and
+the signed dominant reflection of every rho-shifted weight.
 """
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adjoint_powers import (
     BlockExtractionError,
+    NegativeMultiplicityError,
     StableLabel,
     adjoint_labels,
     adjoint_power,
@@ -82,6 +87,50 @@ def brute_tensor_with_adjoint(state, n):
     return total
 
 
+# --- signed-reflection tensor step ------------------------------------------
+
+
+def _sort_with_sign(values):
+    # Sign of the permutation sorting into strictly decreasing order;
+    # a repeated value sits on a reflection wall and contributes zero.
+    if len(set(values)) != len(values):
+        return 0, ()
+    inversions = sum(1 for a, b in combinations(values, 2) if a < b)
+    return (-1 if inversions % 2 else 1), tuple(sorted(values, reverse=True))
+
+
+def reflection_tensor_with_adjoint(state, n):
+    """Reflect every rho-shifted lam + mu, mu an adjoint weight, to the
+    dominant chamber with the sign of the sorting permutation."""
+    rho = range(n, -1, -1)
+    out = {}
+    for labels, mult in state.items():
+        base = [p + r for p, r in zip(_suffix_parts(labels, n), rho)]
+        for weight, weight_mult in adjoint_weight_system(n).items():
+            sign, ordered = _sort_with_sign([b + w for b, w in zip(base, weight)])
+            if sign == 0:
+                continue
+            parts = [s - r for s, r in zip(ordered, rho)]
+            key = tuple(parts[i] - parts[i + 1] for i in range(n))
+            out[key] = out.get(key, 0) + sign * weight_mult * mult
+    negatives = {k: v for k, v in out.items() if v < 0}
+    if negatives:
+        raise NegativeMultiplicityError(f"negative multiplicities: {negatives}")
+    return {k: v for k, v in out.items() if v}
+
+
+def plain_weyl_dimension(labels, n):
+    """Weyl's product over every pair i < j, unit factors included."""
+    shifted = [p + r for p, r in zip(_suffix_parts(labels, n), range(n, -1, -1))]
+    numerator = denominator = 1
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            numerator *= shifted[i] - shifted[j]
+            denominator *= j - i
+    assert numerator % denominator == 0
+    return numerator // denominator
+
+
 # --- dimensions and weight systems ----------------------------------------
 
 
@@ -99,6 +148,11 @@ def test_weyl_dimension_derived_example():
 def test_weyl_dimension_duality():
     for labels, n in [((2, 1, 0), 3), ((1, 0, 2, 1), 4), ((3, 0, 1, 0, 0), 5)]:
         assert weyl_dimension(labels, n) == weyl_dimension(labels[::-1], n)
+
+
+def test_weyl_dimension_matches_plain_product():
+    for labels in adjoint_power(4, 9):
+        assert weyl_dimension(labels, 9) == plain_weyl_dimension(labels, 9)
 
 
 def test_weyl_dimension_validation():
@@ -178,6 +232,30 @@ def test_tensor_defining_derived():
 def test_tensor_multiset_matches_brute_oracle():
     state = {adjoint_labels(3): 2, (1, 0, 0): 1}
     assert tensor_with_adjoint(state, 3) == brute_tensor_with_adjoint(state, 3)
+
+
+def test_tensor_matches_reflection_on_adjoint_powers():
+    for n in range(1, 6):
+        state = {trivial_labels(n): 1}
+        for _ in range(4):
+            expected = reflection_tensor_with_adjoint(state, n)
+            state = tensor_with_adjoint(state, n)
+            assert state == expected
+
+
+@st.composite
+def dominant_states(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    labels = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
+    state = draw(st.dictionaries(labels, st.integers(1, 3), min_size=1, max_size=4))
+    return state, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(dominant_states())
+def test_tensor_matches_reflection_on_random_states(case):
+    state, n = case
+    assert tensor_with_adjoint(state, n) == reflection_tensor_with_adjoint(state, n)
 
 
 def test_tensor_rejects_bad_multiplicity():
