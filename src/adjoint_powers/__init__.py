@@ -33,7 +33,6 @@ from .combinatorics import (
 )
 from .lie import (
     BlockExtractionError,
-    NegativeMultiplicityError,
     PowerCheck,
     StableLabel,
     VerificationReport,
@@ -61,7 +60,6 @@ __all__ = [
     "EulerTable",
     "ExactDivisionError",
     "HigherDerangementTable",
-    "NegativeMultiplicityError",
     "PowerCheck",
     "PowerSeries",
     "StableLabel",

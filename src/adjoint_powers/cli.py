@@ -328,7 +328,7 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ExactDivisionError, lie.BlockExtractionError) as exc:
+    except ExactDivisionError as exc:
         # An exact-arithmetic assertion failed: the formulas were falsified.
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

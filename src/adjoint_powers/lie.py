@@ -4,7 +4,11 @@ Independently certifies the coefficient formulas: the k-th tensor power
 of the adjoint representation of A_n is decomposed exactly (integer
 arithmetic throughout), the rank-stable blocks are extracted from it
 triangularly, and the result is compared block by block against the
-combinatorial coefficients, in the stable range 2k <= n+1.
+combinatorial coefficients, in the stable range 2k <= n+1.  One pass
+over the powers builds each power's check and block; the two entry
+points only collect it: verify_stable_decomposition reports the checks
+as data, extract_stable_blocks returns the blocks and raises on the
+first power whose check fails.
 
 Weights are handled in (n+1)-entry integer coordinates defined up to a
 uniform shift; the canonical representative has minimum entry zero, so
@@ -29,7 +33,6 @@ from .combinatorics import derangement, exact_div
 
 __all__ = [
     "BlockExtractionError",
-    "NegativeMultiplicityError",
     "PowerCheck",
     "StableLabel",
     "VerificationReport",
@@ -40,7 +43,6 @@ __all__ = [
     "extract_stable_blocks",
     "freudenthal_weights",
     "leading_block_label",
-    "normalize_weight",
     "stable_to_dynkin",
     "tensor_with_adjoint",
     "trivial_labels",
@@ -50,14 +52,6 @@ __all__ = [
 
 Labels = tuple[int, ...]
 Weight = tuple[int, ...]
-
-
-class NegativeMultiplicityError(ArithmeticError):
-    """A signed accumulation finished negative: a reflection/sign bug.
-
-    No production path raises it: the signed-reflection tensor step that
-    the tests keep as a cross-check of the box-move step does.
-    """
 
 
 class BlockExtractionError(ArithmeticError):
@@ -88,7 +82,7 @@ def adjoint_labels(n: int) -> Labels:
     return (1,) + (0,) * (n - 2) + (1,)
 
 
-def normalize_weight(coords) -> Weight:
+def _normalize_weight(coords) -> Weight:
     """Canonical representative of a weight: shift so the minimum entry is 0."""
     low = min(coords)
     return tuple(c - low for c in coords)
@@ -212,7 +206,7 @@ def freudenthal_weights(labels: Labels, n: int) -> dict[Weight, int]:
     system: dict[Weight, int] = {}
     for part, mult in _dominant_multiplicities(labels, n).items():
         for perm in set(permutations(part)):
-            system[normalize_weight(perm)] = mult
+            system[_normalize_weight(perm)] = mult
     return system
 
 
@@ -363,65 +357,10 @@ def _check_stable_range(k_max: int, n: int) -> None:
         raise ValueError(f"stable range requires 2*k_max <= n+1, got ({k_max}, {n})")
 
 
-def _extraction_steps(k_max: int, n: int):
-    """Yield, for k = 0..k_max, the power decomposition, its stable form, and
-    blocks 0..k, where block k is the stable form left after subtracting
-    every earlier block weighted by its coefficient."""
-    power = {trivial_labels(n): 1}
-    blocks: list[dict[StableLabel, int]] = []
-    for k in range(k_max + 1):
-        if k:
-            power = tensor_with_adjoint(power, n)
-        stable = {dynkin_to_stable(lab, n): m for lab, m in power.items()}
-        block = dict(stable)
-        for p in range(k):
-            c = coefficient(k, p)
-            for lab, m in blocks[p].items():
-                block[lab] = block.get(lab, 0) - c * m
-        blocks.append({lab: m for lab, m in block.items() if m})
-        yield k, power, stable, blocks
-
-
-def _misplaced_labels(block: dict[StableLabel, int], k: int) -> dict[StableLabel, int]:
-    """Entries of block k whose label lacks k boxes per side: an earlier
-    block's labels, left over or oversubtracted by a miscounted coefficient."""
-    return {lab: m for lab, m in block.items() if sum(lab.left) != k}
-
-
-def extract_stable_blocks(k_max: int, n: int) -> list[dict[StableLabel, int]]:
-    """Blocks 0..k_max as stable-label multisets, extracted triangularly.
-
-    Block k is the k-th power minus all earlier blocks weighted by their
-    coefficients.  A negative multiplicity, a label without exactly k
-    boxes per side, or a leading label missing or off unit multiplicity
-    falsifies the decomposition at this rank and raises
-    :class:`BlockExtractionError`.
-    """
-    _check_stable_range(k_max, n)
-    result: list[dict[StableLabel, int]] = []
-    for k, _power, _stable, blocks in _extraction_steps(k_max, n):
-        block = blocks[k]
-        negatives = {lab: m for lab, m in block.items() if m < 0}
-        if negatives:
-            raise BlockExtractionError(
-                f"block {k} at rank {n} has negative multiplicities: {negatives}"
-            )
-        misplaced = _misplaced_labels(block, k)
-        if misplaced:
-            raise BlockExtractionError(
-                f"block {k} at rank {n} has labels without {k} boxes per side: {misplaced}"
-            )
-        if block.get(leading_block_label(k), 0) != 1:
-            raise BlockExtractionError(
-                f"block {k} at rank {n} lacks its leading label with multiplicity 1"
-            )
-        result.append(block)
-    return result
-
-
 @dataclass
 class PowerCheck:
-    """Verification record for one tensor power."""
+    """Verification record for one tensor power; :attr:`passed` is the
+    one definition of a valid power, for both oracle entry points."""
 
     power: int
     dimension_expected: int
@@ -491,38 +430,74 @@ def _label_payload(label: StableLabel) -> list[list[int]]:
     return [list(label.left), list(label.right)]
 
 
-def verify_stable_decomposition(k_max: int, n: int) -> VerificationReport:
-    """Certify the decomposition for every power up to k_max at rank n.
+def _certified_powers(k_max: int, n: int):
+    """Yield, for k = 0..k_max, the check of power k and block k.
 
-    Per power: (a) every label in block k has exactly k boxes per side,
-    any other being a residual (expected 0, observed m), (b) total
-    dimension balances against ((n+1)^2 - 1)^k, (c) blocks are
-    nonnegative with unit leading label, (d) the trivial rep appears
-    exactly d_k times.  Block k is the remainder of the power, so the
-    weighted block sum equals the power by construction; a miscounted
-    coefficient shows up under (a).  Failures are data in the report,
-    not exceptions.
+    Block k is the stable form of the k-th power left after subtracting
+    every earlier block weighted by its coefficient, so the weighted
+    block sum equals the power by construction; a miscounted coefficient
+    leaves labels without k boxes per side in block k, recorded as a
+    residual (expected 0, observed m).  The stable range is checked
+    before the first power.
     """
     _check_stable_range(k_max, n)
     adjoint_dim = (n + 1) ** 2 - 1
-    started = time.perf_counter()
-    checks: list[PowerCheck] = []
-    for k, power, stable, blocks in _extraction_steps(k_max, n):
-        block = blocks[k]
-        checks.append(
-            PowerCheck(
-                power=k,
-                dimension_expected=adjoint_dim**k,
-                dimension_observed=sum(
-                    m * weyl_dimension(lab, n) for lab, m in power.items()
-                ),
-                trivial_expected=derangement(k),
-                trivial_observed=stable.get(StableLabel((), ()), 0),
-                leading_ok=block.get(leading_block_label(k), 0) == 1,
-                negative_entries={lab: m for lab, m in block.items() if m < 0},
-                residual={lab: (0, m) for lab, m in _misplaced_labels(block, k).items()},
-            )
+    power = {trivial_labels(n): 1}
+    blocks: list[dict[StableLabel, int]] = []
+    for k in range(k_max + 1):
+        if k:
+            power = tensor_with_adjoint(power, n)
+        stable = {dynkin_to_stable(lab, n): m for lab, m in power.items()}
+        block = dict(stable)
+        for p in range(k):
+            c = coefficient(k, p)
+            for lab, m in blocks[p].items():
+                block[lab] = block.get(lab, 0) - c * m
+        block = {lab: m for lab, m in block.items() if m}
+        blocks.append(block)
+        check = PowerCheck(
+            power=k,
+            dimension_expected=adjoint_dim**k,
+            dimension_observed=sum(m * weyl_dimension(lab, n) for lab, m in power.items()),
+            trivial_expected=derangement(k),
+            trivial_observed=stable.get(StableLabel((), ()), 0),
+            leading_ok=block.get(leading_block_label(k), 0) == 1,
+            negative_entries={lab: m for lab, m in block.items() if m < 0},
+            residual={lab: (0, m) for lab, m in block.items() if sum(lab.left) != k},
         )
+        yield check, block
+
+
+def extract_stable_blocks(k_max: int, n: int) -> list[dict[StableLabel, int]]:
+    """Blocks 0..k_max as stable-label multisets, extracted triangularly.
+
+    Block k is the k-th power minus all earlier blocks weighted by their
+    coefficients.  A power that fails any of the five properties
+    certified by :func:`verify_stable_decomposition` falsifies the
+    decomposition at this rank and raises :class:`BlockExtractionError`.
+    """
+    blocks: list[dict[StableLabel, int]] = []
+    for check, block in _certified_powers(k_max, n):
+        if not check.passed:
+            raise BlockExtractionError(
+                f"power {check.power} at rank {n} falsifies the decomposition: {check}"
+            )
+        blocks.append(block)
+    return blocks
+
+
+def verify_stable_decomposition(k_max: int, n: int) -> VerificationReport:
+    """Certify the decomposition for every power up to k_max at rank n.
+
+    Per power: (a) total dimension balances against ((n+1)^2 - 1)^k,
+    (b) the trivial rep appears exactly d_k times, (c) block k holds its
+    leading label with multiplicity 1, (d) block k has no negative
+    multiplicity, (e) every label in block k has exactly k boxes per
+    side.  Failures are data in the report, not exceptions; a power
+    passes when :attr:`PowerCheck.passed` holds.
+    """
+    started = time.perf_counter()
+    checks = [check for check, _block in _certified_powers(k_max, n)]
     return VerificationReport(
         k_max=k_max,
         rank=n,

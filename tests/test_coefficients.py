@@ -1,6 +1,7 @@
 """Coefficient rows: golden values, route agreement, rendering."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adjoint_powers import (
     CoefficientRow,
@@ -86,6 +87,24 @@ def test_routes_agree():
         row = table.row(k).values
         for j in range(k + 1):
             assert coefficient(k, j) == coefficient_by_contraction(k, j) == row[j]
+
+
+@st.composite
+def coefficient_indices(draw):
+    k = draw(st.integers(1, 60))
+    return k, draw(st.integers(0, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficient_indices())
+def test_routes_agree_on_random_indices(case):
+    k, j = case
+    assert (
+        coefficient(k, j)
+        == coefficient_by_contraction(k, j)
+        == coefficient_row(k).values[j]
+        == decomposition_table(k).row(k).values[j]
+    )
 
 
 def test_subleading_spot_law():

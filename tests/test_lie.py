@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from adjoint_powers import (
     BlockExtractionError,
-    NegativeMultiplicityError,
     StableLabel,
     adjoint_labels,
     adjoint_power,
@@ -114,8 +113,7 @@ def reflection_tensor_with_adjoint(state, n):
             key = tuple(parts[i] - parts[i + 1] for i in range(n))
             out[key] = out.get(key, 0) + sign * weight_mult * mult
     negatives = {k: v for k, v in out.items() if v < 0}
-    if negatives:
-        raise NegativeMultiplicityError(f"negative multiplicities: {negatives}")
+    assert not negatives, f"negative multiplicities: {negatives}"
     return {k: v for k, v in out.items() if v}
 
 
@@ -345,6 +343,43 @@ def test_round_trip_over_power_labels():
             assert stable_to_dynkin(dynkin_to_stable(labels, 6), 6) == labels
 
 
+@st.composite
+def stable_labels_with_rank(draw):
+    def partition(boxes):
+        parts = []
+        while boxes:
+            part = draw(st.integers(1, min(boxes, parts[-1] if parts else boxes)))
+            parts.append(part)
+            boxes -= part
+        return tuple(parts)
+
+    boxes = draw(st.integers(0, 8))
+    label = StableLabel(partition(boxes), partition(boxes))
+    n = draw(st.integers(max(1, len(label.left) + len(label.right) - 1), 14))
+    return label, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(stable_labels_with_rank())
+def test_stable_round_trip_on_random_labels(case):
+    label, n = case
+    assert dynkin_to_stable(stable_to_dynkin(label, n), n) == label
+
+
+@st.composite
+def stable_powers(draw):
+    k = draw(st.integers(0, 4))
+    return k, draw(st.integers(max(1, 2 * k - 1), 2 * k + 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(stable_powers())
+def test_dynkin_round_trip_on_random_powers(case):
+    k, n = case
+    for labels in adjoint_power(k, n):
+        assert stable_to_dynkin(dynkin_to_stable(labels, n), n) == labels
+
+
 # --- block extraction and certification -------------------------------------
 
 
@@ -440,7 +475,24 @@ def test_verify_report_payload():
     assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text
 
 
+def test_planted_trivial_miscount_is_caught(monkeypatch):
+    # d_3 off by one: the observed trivial count no longer matches, so
+    # the power fails and extraction refuses it like any other check.
+    true_derangement = lie.derangement
+    monkeypatch.setattr(
+        lie, "derangement", lambda k: true_derangement(k) + (1 if k == 3 else 0)
+    )
+    report = verify_stable_decomposition(3, 5)
+    assert not report.passed
+    assert [check.passed for check in report.checks] == [True, True, True, False]
+    check = report.checks[3]
+    assert check.trivial_expected != check.trivial_observed
+    assert check.trivial_observed == true_derangement(3)
+    with pytest.raises(BlockExtractionError, match="power 3 at rank 5"):
+        extract_stable_blocks(3, 5)
+
+
 def test_block_extraction_error_type_exists():
-    # The falsification path is unreachable while the formulas hold; the
-    # exception contract is still part of the API.
+    # Extraction raises it on the first power that fails a check, as the
+    # planted miscounts above show; it is an arithmetic falsification.
     assert issubclass(BlockExtractionError, ArithmeticError)
