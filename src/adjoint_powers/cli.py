@@ -7,7 +7,7 @@ byte-identical for identical arguments; diagnostics (including timings)
 go to stderr.
 
 Exit codes: 0 success, 1 verification failure (report still printed),
-2 usage or domain error.
+2 usage or domain error, including a request above its cost limit.
 """
 
 from __future__ import annotations
@@ -22,6 +22,28 @@ from .serialize import canonical_json
 
 TABLE_FORMATS = ("markdown", "csv", "json")
 REPORT_FORMATS = ("text", "json")
+
+# Cost limits: the largest accepted request finishes in about 10 s and
+# under about 1 GB (Python 3.11.7, 2-vCPU Xeon VM; CHANGES.md has the
+# measurements).  Anything larger exits 2 before any work is done.
+#: Largest ``table euler|higher --max``: the triangle holds (max+1)(max+2)/2 big integers.
+TABLE_LIMIT = 700
+#: Largest ``table derangement --max``: one column, so far longer than the triangles.
+DERANGEMENT_TABLE_LIMIT = 5000
+#: Largest ``coeffs --k``: the row is read off a whole difference table.
+COEFFS_K_LIMIT = 1200
+#: Largest ``coeffs --upto``.
+COEFFS_UPTO_LIMIT = 700
+#: Largest ``series --k``.
+SERIES_K_LIMIT = 1000
+#: Largest ``series --order``.
+SERIES_ORDER_LIMIT = 2500
+#: Largest ``verify combinatorics --max``.
+COMBINATORICS_LIMIT = 100
+#: Largest ``verify oracle --kmax``: the irreps roughly double with each power.
+ORACLE_KMAX_LIMIT = 12
+#: Largest ``verify oracle --n``.
+ORACLE_RANK_LIMIT = 100
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,6 +98,12 @@ def _require_nonnegative(**values: int) -> None:
             raise ValueError(f"--{name} must be nonnegative, got {value}")
 
 
+def _require_at_most(limit: int, **values: int) -> None:
+    for name, value in values.items():
+        if value > limit:
+            raise ValueError(f"--{name} {value} exceeds the cost limit (--{name} <= {limit})")
+
+
 def _print_rows(fmt: str, header: list[str], rows) -> None:
     """Print a table one row at a time: markdown under its header, or CSV
     without one.  No whole-table string is built."""
@@ -91,6 +119,8 @@ def _print_rows(fmt: str, header: list[str], rows) -> None:
 
 def _cmd_table(args) -> int:
     _require_nonnegative(max=args.max)
+    limit = DERANGEMENT_TABLE_LIMIT if args.which == "derangement" else TABLE_LIMIT
+    _require_at_most(limit, max=args.max)
     indices = range(args.max + 1)
     if args.which == "derangement":
         values = map(str, islice(combinatorics.derangement_numbers(), args.max + 1))
@@ -119,6 +149,7 @@ def _cmd_table(args) -> int:
 def _cmd_coeffs(args) -> int:
     if args.k is not None:
         _require_nonnegative(k=args.k)
+        _require_at_most(COEFFS_K_LIMIT, k=args.k)
         row = coefficients.coefficient_row(args.k)
         values = [str(v) for v in row.values]
         if args.format == "json":
@@ -130,6 +161,7 @@ def _cmd_coeffs(args) -> int:
             _print_rows(args.format, header, [cells])
         return 0
     _require_nonnegative(upto=args.upto)
+    _require_at_most(COEFFS_UPTO_LIMIT, upto=args.upto)
     table = coefficients.decomposition_table(args.upto)
     if args.format == "json":
         payload = {
@@ -149,6 +181,8 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_series(args) -> int:
     _require_nonnegative(k=args.k, order=args.order)
+    _require_at_most(SERIES_K_LIMIT, k=args.k)
+    _require_at_most(SERIES_ORDER_LIMIT, order=args.order)
     series = combinatorics.egf_coefficients(args.k, args.order)
     values = [str(c) for c in series.coefficients]
     if args.format == "json":
@@ -238,6 +272,7 @@ def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
 
 def _cmd_verify_combinatorics(args) -> int:
     _require_nonnegative(max=args.max)
+    _require_at_most(COMBINATORICS_LIMIT, max=args.max)
     checks = _combinatorics_checks(args.max)
     passed = all(ok for _, ok, _ in checks)
     if args.format == "json":
@@ -293,6 +328,9 @@ def _label_text(label: lie.StableLabel) -> str:
 
 
 def _cmd_verify_oracle(args) -> int:
+    # Negative and out-of-range values are refused by lie, with its messages.
+    _require_at_most(ORACLE_KMAX_LIMIT, kmax=args.kmax)
+    _require_at_most(ORACLE_RANK_LIMIT, n=args.n)
     report = lie.verify_stable_decomposition(args.kmax, args.n)
     if args.format == "json":
         print(canonical_json(report.to_payload()))

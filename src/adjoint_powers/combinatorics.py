@@ -4,18 +4,18 @@ Everything here is arbitrary-precision: integers are plain Python ``int``,
 rationals are ``fractions.Fraction``.  The central objects are the
 triangular difference table ``e[k][j]`` (diagonal ``j!``, backward
 difference recurrence), the derangement numbers it produces in its first
-column, and the integer refinement ``d[n][k] = e[n][k] / k!``.  Every
-division that must come out even goes through :func:`exact_div`, which
-refuses to round.
+column, and the integer refinement ``d[n][k] = e[n][k] / k!``, which has a
+recurrence of its own and is built without dividing.  Every division that
+must come out even goes through :func:`exact_div`, which refuses to round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, islice, permutations
+from itertools import count, islice, permutations
 import math
-from operator import mul
+from operator import eq
 
 __all__ = [
     "ENUMERATION_LIMIT",
@@ -151,7 +151,8 @@ def derangement_enumeration_oracle(k: int) -> int:
     """Count derangements literally, by checking every permutation of {1..k}.
 
     Costs k! permutations, so arguments above ``ENUMERATION_LIMIT`` are
-    refused.
+    refused.  Each permutation is compared with the identity position by
+    position in C (``map(eq, ...)``); none is skipped.
     """
     if k < 0:
         raise ValueError("enumeration requires k >= 0")
@@ -159,9 +160,10 @@ def derangement_enumeration_oracle(k: int) -> int:
         raise ValueError(
             f"enumeration of {k}! permutations exceeds the cost limit (k <= {ENUMERATION_LIMIT})"
         )
+    identity = range(k)
     count = 0
-    for perm in permutations(range(k)):
-        if all(perm[i] != i for i in range(k)):
+    for perm in permutations(identity):
+        if not any(map(eq, perm, identity)):
             count += 1
     return count
 
@@ -180,7 +182,7 @@ def higher_derangement(n: int, k: int, method: str = "table") -> int:
     if method == "table":
         return exact_div(euler_table(n).entry(n, k), factorial(k))
     if method == "recurrence":
-        column = [derangement(i) for i in range(n + 1)]  # d_i^0 = d_i
+        column = list(islice(derangement_numbers(), n + 1))  # d_i^0 = d_i
         for j in range(1, k + 1):
             column = [0] * j + [
                 exact_div(column[i] + column[i - 1], j) for i in range(j, n + 1)
@@ -214,14 +216,25 @@ class HigherDerangementTable:
 
 
 def higher_derangement_table(max_index: int) -> HigherDerangementTable:
-    """Divide the difference table column-wise by k! to get all d[n][k]."""
-    base = euler_table(max_index)
-    factorials = list(accumulate(range(1, max_index + 1), mul, initial=1))
-    rows = tuple(
-        tuple(exact_div(entry, factorials[k]) for k, entry in enumerate(base.row(n)))
-        for n in range(max_index + 1)
-    )
-    return HigherDerangementTable(max_index, rows)
+    """All d[n][k] = e[n][k] / k! for 0 <= k <= n <= max_index, division-free.
+
+    The difference-table recurrence e[n][k] = e[n][k+1] - e[n-1][k],
+    divided through by k!, reads d[n][k] = (k+1) d[n][k+1] - d[n-1][k]
+    with d[n][n] = 1.  Each row is swept downward in k from that diagonal,
+    so every entry is an exact integer by construction: no factorial is
+    formed and nothing is divided.
+    """
+    if max_index < 0:
+        raise ValueError("max_index must be >= 0")
+    rows: list[tuple[int, ...]] = []
+    previous: tuple[int, ...] = ()
+    for n in range(max_index + 1):
+        row = [1] * (n + 1)
+        for k in range(n - 1, -1, -1):
+            row[k] = (k + 1) * row[k + 1] - previous[k]
+        previous = tuple(row)
+        rows.append(previous)
+    return HigherDerangementTable(max_index, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -245,16 +258,25 @@ class PowerSeries:
 def egf_coefficients(k: int, order: int) -> PowerSeries:
     """Series of exp(-x) / (1-x)^(k+1) to the given order.
 
-    Computed by convolving sum (-1)^i x^i / i! with sum C(m+k, k) x^m.
+    The convolution of sum (-1)^i x^i / i! with sum C(m+k, k) x^m, taken in
+    integers: the coefficient of x^m is N_m / m! with
+    N_m = sum_i (-1)^i (m!/i!) C(m-i+k, k).  The falling factorials m!/i!
+    are grown by Horner's rule, multiplying the partial sum by i before
+    adding term i, so every product has one machine-sized factor.  Only
+    the final quotient is a ``Fraction``, one per coefficient.  Nothing
+    here reads the higher derangements, so their agreement with this
+    series is an independent check.
     """
     if k < 0:
         raise ValueError("series parameter must be >= 0")
     if order < 0:
         raise ValueError("order must be >= 0")
+    binomials = [binomial(j + k, k) for j in range(order + 1)]
     coefficients = []
     for m in range(order + 1):
-        total = Fraction(0)
+        total = 0
         for i in range(m + 1):
-            total += Fraction((-1) ** i, factorial(i)) * binomial(m - i + k, k)
-        coefficients.append(total)
+            term = binomials[m - i]
+            total = total * i + (-term if i & 1 else term)
+        coefficients.append(Fraction(total, factorial(m)))
     return PowerSeries(k, order, tuple(coefficients))

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from adjoint_powers import PowerCheck, VerificationReport, coefficient, derangement
+from adjoint_powers import cli
 from adjoint_powers.cli import run
 
 
@@ -200,6 +201,33 @@ def test_usage_errors_exit_two(capsys):
     assert invoke(["table", "euler", "--max", "-3"], capsys)[0] == 2
     assert invoke(["verify", "oracle", "--kmax", "1", "--n", "0"], capsys)[0] == 2
     assert invoke(["coeffs", "--upto", "3", "--format", "latex"], capsys)[0] == 2
+
+
+# One request just above each cost limit; every other argument is small.
+OVERSIZED = [
+    ("TABLE_LIMIT", "table euler --max {}"),
+    ("TABLE_LIMIT", "table higher --max {}"),
+    ("DERANGEMENT_TABLE_LIMIT", "table derangement --max {}"),
+    ("COEFFS_K_LIMIT", "coeffs --k {}"),
+    ("COEFFS_UPTO_LIMIT", "coeffs --upto {}"),
+    ("SERIES_K_LIMIT", "series --k {} --order 2"),
+    ("SERIES_ORDER_LIMIT", "series --k 2 --order {}"),
+    ("COMBINATORICS_LIMIT", "verify combinatorics --max {}"),
+    ("ORACLE_KMAX_LIMIT", "verify oracle --kmax {} --n 99"),
+    ("ORACLE_RANK_LIMIT", "verify oracle --kmax 1 --n {}"),
+]
+
+
+@pytest.mark.parametrize(
+    "limit,template", OVERSIZED, ids=[t.format(name) for name, t in OVERSIZED]
+)
+def test_request_above_cost_limit_exits_two(limit, template, capsys):
+    value = getattr(cli, limit)
+    code, out, err = invoke(template.format(value + 1).split(), capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{value + 1} exceeds the cost limit" in err
+    assert f"<= {value})" in err
 
 
 def test_help_exits_zero(capsys):

@@ -1,9 +1,10 @@
 """Golden tables and cross-route checks for the difference-table module."""
 
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from adjoint_powers import (
     ExactDivisionError,
@@ -173,6 +174,22 @@ def test_enumeration_oracle_agrees_with_recurrences():
         assert derangement_enumeration_oracle(k) == derangement(k)
 
 
+def test_enumeration_oracle_inspects_every_permutation(monkeypatch):
+    inspected = 0
+
+    def counting_permutations(iterable):
+        nonlocal inspected
+        for perm in permutations(iterable):
+            inspected += 1
+            yield perm
+
+    monkeypatch.setattr("adjoint_powers.combinatorics.permutations", counting_permutations)
+    for k in range(8):
+        inspected = 0
+        assert derangement_enumeration_oracle(k) == DERANGEMENTS[k]
+        assert inspected == factorial(k), f"k={k}"
+
+
 def test_enumeration_oracle_cost_limit():
     with pytest.raises(ValueError, match="cost limit"):
         derangement_enumeration_oracle(11)
@@ -214,9 +231,10 @@ def test_higher_derangement_methods_agree():
 
 
 def test_higher_derangement_table_invariants():
-    table = higher_derangement_table(20)
-    base = euler_table(20)
-    for n in range(21):
+    # By 150 the entries run to hundreds of digits.
+    table = higher_derangement_table(150)
+    base = euler_table(150)
+    for n in range(151):
         assert table.entry(n, n) == 1
         if n >= 1:
             assert table.entry(n, n - 1) == n - 1
@@ -233,6 +251,24 @@ def test_higher_derangement_domain_errors():
         higher_derangement(-1, 0)
     with pytest.raises(ValueError):
         higher_derangement(4, 2, "guess")
+
+
+def reference_egf_coefficients(k, order):
+    """The series as a sum of ``Fraction`` terms: sum (-1)^i x^i / i!
+    convolved with sum C(m+k, k) x^m, term by term.  Reference for the
+    integer convolution of ``egf_coefficients``."""
+    coefficients = []
+    for m in range(order + 1):
+        total = Fraction(0)
+        for i in range(m + 1):
+            total += Fraction((-1) ** i, factorial(i)) * binomial(m - i + k, k)
+        coefficients.append(total)
+    return tuple(coefficients)
+
+
+@given(k=st.integers(0, 12), order=st.integers(0, 40))
+def test_series_matches_fraction_convolution(k, order):
+    assert egf_coefficients(k, order).coefficients == reference_egf_coefficients(k, order)
 
 
 def test_series_examples():
