@@ -30,8 +30,8 @@ REPORT_FORMATS = ("text", "json")
 TABLE_LIMIT = 700
 #: Largest ``table derangement --max``: one column, so far longer than the triangles.
 DERANGEMENT_TABLE_LIMIT = 5000
-#: Largest ``coeffs --k``: the row is read off a whole difference table.
-COEFFS_K_LIMIT = 1200
+#: Largest ``coeffs --k``: one rolling difference-table row, O(k^2) big-integer steps.
+COEFFS_K_LIMIT = 3000
 #: Largest ``coeffs --upto``.
 COEFFS_UPTO_LIMIT = 700
 #: Largest ``series --k``.
@@ -41,7 +41,7 @@ SERIES_ORDER_LIMIT = 2500
 #: Largest ``verify combinatorics --max``.
 COMBINATORICS_LIMIT = 100
 #: Largest ``verify oracle --kmax``: the irreps roughly double with each power.
-ORACLE_KMAX_LIMIT = 12
+ORACLE_KMAX_LIMIT = 13
 #: Largest ``verify oracle --n``.
 ORACLE_RANK_LIMIT = 100
 

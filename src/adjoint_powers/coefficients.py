@@ -13,7 +13,7 @@ power k is computed by three independent routes:
 
 All three must agree entry for entry; every division is exact and
 checked.  :func:`coefficient_row` computes the same closed form for a
-whole row from a single difference table.
+whole row from one rolling row of the difference table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from operator import mul
 from .combinatorics import (
     binomial,
     derangement,
-    euler_table,
     exact_div,
     factorial,
     higher_derangement,
@@ -89,12 +88,19 @@ def coefficient_by_contraction(k: int, p: int) -> int:
 def coefficient_row(k: int) -> CoefficientRow:
     """One full row (c_0^k, ..., c_k^k) by the closed form; k = 0 gives (1,).
 
-    Row k of one difference table is divided entry by entry by a running
-    j!, giving d_k^j, and weighted by C(k, j).
+    Row k of the difference table is built from one rolling row,
+    e_m^m = m! and e_m^j = e_m^{j+1} - e_{m-1}^j, then divided entry by
+    entry by a running j!, giving d_k^j, and weighted by C(k, j).
     """
     if k < 0:
         raise ValueError("coefficient_row requires k >= 0")
-    entries = euler_table(k).row(k)
+    entries = [1]  # e_0^0
+    m_factorial = 1
+    for m in range(1, k + 1):
+        m_factorial *= m
+        entries.append(m_factorial)
+        for j in range(m - 1, -1, -1):
+            entries[j] = entries[j + 1] - entries[j]
     factorials = accumulate(range(1, k + 1), mul, initial=1)
     return CoefficientRow(
         k,

@@ -13,20 +13,22 @@ first power whose check fails.
 Weights are handled in (n+1)-entry integer coordinates defined up to a
 uniform shift; the canonical representative has minimum entry zero, so
 equality is plain tuple comparison.  Tensor steps always multiply by
-the adjoint and follow the box-move rule: V(lam) x adjoint is the sum
-of V(lam + e_i - e_j) over the dominant results, one box moved from row
-j to row i, plus V(lam) once per nonzero Dynkin label, so no weight is
-reflected to the dominant chamber.  The adjoint weight system is closed
-form (the (n+1)n root vectors plus the zero weight with multiplicity
-n); it and the Freudenthal recursion are kept as independent
-cross-checks, not as part of the product path.
+the adjoint, factored through V x V* = adjoint + trivial: Pieri's rule
+for the defining rep V adds a box to a row, Pieri's rule for its dual
+removes one, and the input state is subtracted once, so no weight is
+reflected to the dominant chamber.  Weyl dimensions multiply over pairs
+of runs of equal parts.  The adjoint weight system is closed form (the
+(n+1)n root vectors plus the zero weight with multiplicity n); it and
+the Freudenthal recursion are kept as independent cross-checks, not as
+part of the product path.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import compress, permutations
+from math import perm
 
 from .coefficients import coefficient
 from .combinatorics import derangement, exact_div
@@ -66,7 +68,7 @@ def _check_rank(n: int) -> None:
 def _check_labels(labels: Labels, n: int) -> None:
     if len(labels) != n:
         raise ValueError(f"expected {n} labels, got {len(labels)}")
-    if any(a < 0 for a in labels):
+    if min(labels) < 0:
         raise ValueError(f"labels must be nonnegative, got {labels}")
 
 
@@ -108,22 +110,39 @@ def _rho(n: int) -> tuple[int, ...]:
 def weyl_dimension(labels: Labels, n: int) -> int:
     """Dimension of the irreducible with the given highest weight.
 
-    Product over i < j of (l_i - l_j) / (j - i) on the rho-shifted parts;
-    the division is exact and checked.  A pair of equal parts contributes
-    (j - i) / (j - i) = 1 and is skipped.
+    Weyl's product over i < j of (l_i - l_j + j - i) / (j - i) on the
+    parts l of the highest weight, taken over pairs of runs of equal
+    parts, since a pair inside one run contributes 1.  A run ends at
+    each nonzero Dynkin label and at row n.  For runs A above B with
+    part difference d, the factors of one row of the shorter run against
+    the whole longer run are a ratio of falling factorials (math.perm);
+    the single division at the end is exact and checked.
     """
     _check_rank(n)
     _check_labels(labels, n)
-    parts = _partition(labels, n)
+    runs = []  # (first row, row after the last, part)
+    start = 0
+    part = sum(labels)
+    for p in compress(range(n), labels):
+        runs.append((start, p + 1, part))
+        start = p + 1
+        part -= labels[p]
+    runs.append((start, n + 1, 0))
     numerator = 1
     denominator = 1
-    first_lower = n + 1  # first index whose part is below parts[i]
-    for i in range(n - 1, -1, -1):
-        if labels[i]:
-            first_lower = i + 1
-        for j in range(first_lower, n + 1):
-            numerator *= parts[i] - parts[j] + j - i
-            denominator *= j - i
+    for x, (a0, a1, high) in enumerate(runs):
+        for b0, b1, low in runs[x + 1 :]:
+            d = high - low
+            if a1 - a0 <= b1 - b0:
+                length = b1 - b0
+                for i in range(a0, a1):
+                    numerator *= perm(d + b1 - 1 - i, length)
+                    denominator *= perm(b1 - 1 - i, length)
+            else:
+                length = a1 - a0
+                for j in range(b0, b1):
+                    numerator *= perm(d + j - a0, length)
+                    denominator *= perm(j - a0, length)
     return exact_div(numerator, denominator)
 
 
@@ -230,41 +249,50 @@ def adjoint_weight_system(n: int) -> dict[Weight, int]:
 def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
     """One tensor step: decompose (state) x adjoint into irreducibles.
 
-    Box-move rule: V(lam) x adjoint is the sum of V(lam + e_i - e_j) over
-    rows i != j for which the result is dominant (row i gains a box, row
-    j loses one), plus V(lam) once per nonzero Dynkin label of lam.  In
-    Dynkin labels, row i can gain a box only if i = 0 or a_{i-1} > 0, and
-    row j can lose one only if j = n or a_j > 0; only those rows are
-    enumerated, so no weight is reflected and nothing cancels.
+    Factored through V x V* = adjoint + trivial, V the defining rep.
+    Pieri for V adds a box to every row i where the result is dominant
+    (i = 0 or a_{i-1} > 0); the intermediate labels are merged, then
+    Pieri for V* removes a box from every row j where the result is
+    dominant (j = n or a_j > 0).  Subtracting the input state once
+    removes the trivial summand; a multiplicity that would go negative
+    raises instead of being clamped.  No weight is reflected.
     """
     _check_rank(n)
-    out: dict[Labels, int] = {}
     for labels, mult in state.items():
         _check_labels(labels, n)
         if mult <= 0:
             raise ValueError(f"multiplicities must be positive, got {mult} for {labels}")
-        gaining = [i for i in range(n + 1) if i == 0 or labels[i - 1]]
-        losing = [j for j in range(n + 1) if j == n or labels[j]]
-        for i in gaining:
-            for j in losing:
-                # i == j is the zero weight, counted below; for i == j + 1
-                # both moves lower a_j, which must therefore be at least 2.
-                if i == j or (i == j + 1 and labels[j] < 2):
-                    continue
-                moved = list(labels)
-                if i:
-                    moved[i - 1] -= 1
-                if i < n:
-                    moved[i] += 1
-                if j:
-                    moved[j - 1] += 1
-                if j < n:
-                    moved[j] -= 1
-                key = tuple(moved)
-                out[key] = out.get(key, 0) + mult
-        nonzero = n - labels.count(0)
-        if nonzero:
-            out[labels] = out.get(labels, 0) + nonzero * mult
+    rows = range(n)
+    gained: dict[Labels, int] = {}
+    for labels, mult in state.items():
+        # Row 0 gains a box, and row p + 1 does below each nonzero a_p.
+        key = (labels[0] + 1,) + labels[1:]
+        gained[key] = gained.get(key, 0) + mult
+        for p in compress(rows, labels):
+            if p + 1 < n:
+                key = labels[:p] + (labels[p] - 1, labels[p + 1] + 1) + labels[p + 2 :]
+            else:
+                key = labels[:p] + (labels[p] - 1,)
+            gained[key] = gained.get(key, 0) + mult
+    out: dict[Labels, int] = {}
+    for labels, mult in gained.items():
+        # Row n loses a box, and row p does at each nonzero a_p.
+        key = labels[:-1] + (labels[-1] + 1,)
+        out[key] = out.get(key, 0) + mult
+        for p in compress(rows, labels):
+            if p:
+                key = labels[: p - 1] + (labels[p - 1] + 1, labels[p] - 1) + labels[p + 1 :]
+            else:
+                key = (labels[0] - 1,) + labels[1:]
+            out[key] = out.get(key, 0) + mult
+    for labels, mult in state.items():
+        left = out.get(labels, 0) - mult
+        if left < 0:
+            raise ArithmeticError(f"{labels} occurs fewer than {mult} times in V x V* x state")
+        if left:
+            out[labels] = left
+        else:
+            del out[labels]
     return out
 
 
@@ -444,10 +472,20 @@ def _certified_powers(k_max: int, n: int):
     adjoint_dim = (n + 1) ** 2 - 1
     power = {trivial_labels(n): 1}
     blocks: list[dict[StableLabel, int]] = []
+    # Stable label and dimension per Dynkin label, each computed once:
+    # every label of power k - 1 recurs in power k for k >= 2.
+    measured: dict[Labels, tuple[StableLabel, int]] = {}
     for k in range(k_max + 1):
         if k:
             power = tensor_with_adjoint(power, n)
-        stable = {dynkin_to_stable(lab, n): m for lab, m in power.items()}
+        stable: dict[StableLabel, int] = {}
+        dimension = 0
+        for lab, m in power.items():
+            if lab not in measured:
+                measured[lab] = (dynkin_to_stable(lab, n), weyl_dimension(lab, n))
+            label, dim = measured[lab]
+            stable[label] = m
+            dimension += m * dim
         block = dict(stable)
         for p in range(k):
             c = coefficient(k, p)
@@ -458,7 +496,7 @@ def _certified_powers(k_max: int, n: int):
         check = PowerCheck(
             power=k,
             dimension_expected=adjoint_dim**k,
-            dimension_observed=sum(m * weyl_dimension(lab, n) for lab, m in power.items()),
+            dimension_observed=dimension,
             trivial_expected=derangement(k),
             trivial_observed=stable.get(StableLabel((), ()), 0),
             leading_ok=block.get(leading_block_label(k), 0) == 1,

@@ -175,17 +175,31 @@ def test_criterion_7_high_power_substitute():
     _criterion(7, "high powers covered by route agreement and rank stability", 10.0, body)
 
 
-def test_criterion_8_oracle_to_power_10():
-    # Power 10 needs rank >= 19 for the stable range 2k <= n+1.
+def _certify_every_power(k_max, n):
+    """Criterion body: every power up to k_max passes all five checks at rank n."""
+
     def body():
-        report = verify_stable_decomposition(10, 19)
-        assert report.passed, "certification failed at k_max=10, n=19"
-        assert [check.power for check in report.checks] == list(range(11))
+        report = verify_stable_decomposition(k_max, n)
+        assert report.passed, f"certification failed at k_max={k_max}, n={n}"
+        assert [check.power for check in report.checks] == list(range(k_max + 1))
         for check in report.checks:
-            assert check.dimension_observed == 399**check.power
+            assert check.dimension_observed == ((n + 1) ** 2 - 1) ** check.power
             assert check.trivial_observed == derangement(check.power)
             assert check.leading_ok
             assert not check.negative_entries
             assert not check.residual
 
+    return body
+
+
+def test_criterion_8_oracle_to_power_10():
+    # Power 10 needs rank >= 19 for the stable range 2k <= n+1.
+    body = _certify_every_power(10, 19)
     _criterion(8, "oracle certification of every power up to 10", 15.0, body)
+
+
+def test_criterion_9_oracle_to_power_13():
+    # Power 13, the largest that cli.ORACLE_KMAX_LIMIT admits, at the
+    # smallest rank in its stable range.
+    body = _certify_every_power(13, 25)
+    _criterion(9, "oracle certification of every power up to 13", 10.0, body)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +229,36 @@ def test_request_above_cost_limit_exits_two(limit, template, capsys):
     assert out == ""
     assert f"{value + 1} exceeds the cost limit" in err
     assert f"<= {value})" in err
+
+
+# The README's cost-limit table, row by row: the argument cell and the
+# limits it lists, in order.
+README_LIMIT_ROWS = {
+    "`table euler\\|higher --max`": ("TABLE_LIMIT",),
+    "`table derangement --max`": ("DERANGEMENT_TABLE_LIMIT",),
+    "`coeffs --k`": ("COEFFS_K_LIMIT",),
+    "`coeffs --upto`": ("COEFFS_UPTO_LIMIT",),
+    "`series --k` / `--order`": ("SERIES_K_LIMIT", "SERIES_ORDER_LIMIT"),
+    "`verify combinatorics --max`": ("COMBINATORICS_LIMIT",),
+    "`verify oracle --kmax` / `--n`": ("ORACLE_KMAX_LIMIT", "ORACLE_RANK_LIMIT"),
+}
+
+
+def test_readme_cost_limits_match_cli():
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| argument | limit |") + 2  # skip the header rule
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        argument, limits = (cell.strip() for cell in line.strip("|").rsplit("|", 1))
+        table[argument] = tuple(int(v) for v in limits.split(" / "))
+    assert table == {
+        argument: tuple(getattr(cli, name) for name in names)
+        for argument, names in README_LIMIT_ROWS.items()
+    }
+    limits = {name for name in dir(cli) if name.endswith("_LIMIT")}
+    assert limits == {name for names in README_LIMIT_ROWS.values() for name in names}
 
 
 def test_help_exits_zero(capsys):

@@ -1,9 +1,12 @@
 """Lie oracle: weight systems, tensor steps, block extraction, certification.
 
-The box-move tensor step is cross-checked against two test-side steps
-that share no code with it: a brute-force oracle that convolves full
-weight-system characters and strips highest weights iteratively, and
-the signed dominant reflection of every rho-shifted weight.
+The factored V x V* tensor step is cross-checked against three
+test-side steps that share no code with it: a brute-force oracle that
+convolves full weight-system characters and strips highest weights
+iteratively, the signed dominant reflection of every rho-shifted
+weight, and the box-move rule that moves one box between two rows.
+The run-pair Weyl dimension is checked against Weyl's product over
+every pair of rows.
 """
 
 from itertools import combinations
@@ -117,6 +120,40 @@ def reflection_tensor_with_adjoint(state, n):
     return {k: v for k, v in out.items() if v}
 
 
+# --- box-move tensor step -------------------------------------------------
+
+
+def box_move_tensor_with_adjoint(state, n):
+    """V(lam) x adjoint as the sum of V(lam + e_i - e_j) over rows i != j
+    with a dominant result (row i gains a box, row j loses one), plus
+    V(lam) once per nonzero Dynkin label of lam."""
+    out = {}
+    for labels, mult in state.items():
+        gaining = [i for i in range(n + 1) if i == 0 or labels[i - 1]]
+        losing = [j for j in range(n + 1) if j == n or labels[j]]
+        for i in gaining:
+            for j in losing:
+                # i == j is the zero weight, counted below; for i == j + 1
+                # both moves lower a_j, which must therefore be at least 2.
+                if i == j or (i == j + 1 and labels[j] < 2):
+                    continue
+                moved = list(labels)
+                if i:
+                    moved[i - 1] -= 1
+                if i < n:
+                    moved[i] += 1
+                if j:
+                    moved[j - 1] += 1
+                if j < n:
+                    moved[j] -= 1
+                key = tuple(moved)
+                out[key] = out.get(key, 0) + mult
+        nonzero = n - labels.count(0)
+        if nonzero:
+            out[labels] = out.get(labels, 0) + nonzero * mult
+    return out
+
+
 def plain_weyl_dimension(labels, n):
     """Weyl's product over every pair i < j, unit factors included."""
     shifted = [p + r for p, r in zip(_suffix_parts(labels, n), range(n, -1, -1))]
@@ -149,8 +186,24 @@ def test_weyl_dimension_duality():
 
 
 def test_weyl_dimension_matches_plain_product():
-    for labels in adjoint_power(4, 9):
-        assert weyl_dimension(labels, 9) == plain_weyl_dimension(labels, 9)
+    for n in (9, 100):
+        for labels in adjoint_power(4, n):
+            assert weyl_dimension(labels, n) == plain_weyl_dimension(labels, n)
+
+
+@st.composite
+def sparse_labels(draw):
+    # Stable-range labels: a few nonzero labels around long zero runs.
+    n = draw(st.integers(min_value=1, max_value=40))
+    nonzero = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, 6), max_size=5))
+    return tuple(nonzero.get(i, 0) for i in range(n)), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_labels())
+def test_weyl_dimension_matches_plain_product_on_sparse_labels(case):
+    labels, n = case
+    assert weyl_dimension(labels, n) == plain_weyl_dimension(labels, n)
 
 
 def test_weyl_dimension_validation():
@@ -254,6 +307,13 @@ def dominant_states(draw):
 def test_tensor_matches_reflection_on_random_states(case):
     state, n = case
     assert tensor_with_adjoint(state, n) == reflection_tensor_with_adjoint(state, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dominant_states())
+def test_tensor_matches_box_move_on_random_states(case):
+    state, n = case
+    assert tensor_with_adjoint(state, n) == box_move_tensor_with_adjoint(state, n)
 
 
 def test_tensor_rejects_bad_multiplicity():
@@ -458,6 +518,23 @@ def test_miscounted_coefficient_is_caught(error, monkeypatch):
         assert expected == 0 and observed != 0
     with pytest.raises(BlockExtractionError):
         extract_stable_blocks(4, 7)
+
+
+def test_each_distinct_label_is_converted_once(monkeypatch):
+    # Every label of power k - 1 recurs in power k for k >= 2, so the
+    # distinct labels of powers 0..10 are those of power 10: 3,583 of
+    # the 7,118 labels the eleven powers hold between them.
+    calls = {"dynkin_to_stable": 0, "weyl_dimension": 0}
+    for name in calls:
+        def counted(labels, n, _inner=getattr(lie, name), _name=name):
+            calls[_name] += 1
+            return _inner(labels, n)
+
+        monkeypatch.setattr(lie, name, counted)
+    report = verify_stable_decomposition(10, 19)
+    assert report.passed
+    assert len(adjoint_power(10, 19)) == 3583
+    assert calls == {"dynkin_to_stable": 3583, "weyl_dimension": 3583}
 
 
 def test_verify_report_payload():
