@@ -12,6 +12,7 @@ from .coefficients import (
     coefficient,
     coefficient_by_contraction,
     coefficient_row,
+    decomposition_rows,
     decomposition_table,
 )
 from .combinatorics import (
@@ -25,10 +26,12 @@ from .combinatorics import (
     derangement_enumeration_oracle,
     derangement_numbers,
     egf_coefficients,
+    euler_rows,
     euler_table,
     exact_div,
     factorial,
     higher_derangement,
+    higher_derangement_rows,
     higher_derangement_table,
 )
 from .lie import (
@@ -71,18 +74,21 @@ __all__ = [
     "coefficient",
     "coefficient_by_contraction",
     "coefficient_row",
+    "decomposition_rows",
     "decomposition_table",
     "derangement",
     "derangement_enumeration_oracle",
     "derangement_numbers",
     "dynkin_to_stable",
     "egf_coefficients",
+    "euler_rows",
     "euler_table",
     "exact_div",
     "extract_stable_blocks",
     "factorial",
     "freudenthal_weights",
     "higher_derangement",
+    "higher_derangement_rows",
     "higher_derangement_table",
     "leading_block_label",
     "stable_to_dynkin",

@@ -18,7 +18,7 @@ from itertools import islice
 
 from . import coefficients, combinatorics, lie
 from .combinatorics import ExactDivisionError
-from .serialize import canonical_json
+from .serialize import canonical_json, iterencode
 
 TABLE_FORMATS = ("markdown", "csv", "json")
 REPORT_FORMATS = ("text", "json")
@@ -26,14 +26,15 @@ REPORT_FORMATS = ("text", "json")
 # Cost limits: the largest accepted request finishes in about 10 s and
 # under about 1 GB (Python 3.11.7, 2-vCPU Xeon VM; CHANGES.md has the
 # measurements).  Anything larger exits 2 before any work is done.
-#: Largest ``table euler|higher --max``: the triangle holds (max+1)(max+2)/2 big integers.
-TABLE_LIMIT = 700
+#: Largest ``table euler|higher --max``: (max+1)(max+2)/2 big integers, made and
+#: printed one row at a time, so time, not memory, sets it.
+TABLE_LIMIT = 750
 #: Largest ``table derangement --max``: one column, so far longer than the triangles.
 DERANGEMENT_TABLE_LIMIT = 5000
 #: Largest ``coeffs --k``: one rolling difference-table row, O(k^2) big-integer steps.
 COEFFS_K_LIMIT = 3000
-#: Largest ``coeffs --upto``.
-COEFFS_UPTO_LIMIT = 700
+#: Largest ``coeffs --upto``: streamed row by row like the tables.
+COEFFS_UPTO_LIMIT = 850
 #: Largest ``series --k``.
 SERIES_K_LIMIT = 1000
 #: Largest ``series --order``.
@@ -117,32 +118,35 @@ def _print_rows(fmt: str, header: list[str], rows) -> None:
         print("| " + " | ".join(cells) + " |")
 
 
+def _print_json(payload) -> None:
+    """Print canonical JSON piece by piece as the encoder yields it, so a
+    payload holding row generators is written one row at a time."""
+    sys.stdout.writelines(iterencode(payload))
+    print()
+
+
 def _cmd_table(args) -> int:
     _require_nonnegative(max=args.max)
     limit = DERANGEMENT_TABLE_LIMIT if args.which == "derangement" else TABLE_LIMIT
     _require_at_most(limit, max=args.max)
-    indices = range(args.max + 1)
     if args.which == "derangement":
         values = map(str, islice(combinatorics.derangement_numbers(), args.max + 1))
         if args.format == "json":
-            print(canonical_json({"max_index": args.max, "values": list(values)}))
+            _print_json({"max_index": args.max, "values": values})
         else:
             rows = ([str(k), value] for k, value in enumerate(values))
             _print_rows(args.format, ["k", "derangements"], rows)
         return 0
     if args.which == "euler":
-        table, index, column = combinatorics.euler_table(args.max), "k", "j"
+        rows, index, column = combinatorics.euler_rows(args.max), "k", "j"
     else:
-        table, index, column = combinatorics.higher_derangement_table(args.max), "n", "k"
+        rows, index, column = combinatorics.higher_derangement_rows(args.max), "n", "k"
     if args.format == "json":
-        payload = {
-            "max_index": table.max_index,
-            "rows": [{index: i, "entries": [str(v) for v in table.row(i)]} for i in indices],
-        }
-        print(canonical_json(payload))
+        entries = ({index: i, "entries": [str(v) for v in row]} for i, row in enumerate(rows))
+        _print_json({"max_index": args.max, "rows": entries})
     else:
-        header = [index] + [f"{column}={j}" for j in indices]
-        _print_rows(args.format, header, ([str(i), *map(str, table.row(i))] for i in indices))
+        header = [index] + [f"{column}={j}" for j in range(args.max + 1)]
+        _print_rows(args.format, header, ([str(i), *map(str, row)] for i, row in enumerate(rows)))
     return 0
 
 
@@ -162,20 +166,13 @@ def _cmd_coeffs(args) -> int:
         return 0
     _require_nonnegative(upto=args.upto)
     _require_at_most(COEFFS_UPTO_LIMIT, upto=args.upto)
-    table = coefficients.decomposition_table(args.upto)
+    rows = coefficients.decomposition_rows(args.upto)
     if args.format == "json":
-        payload = {
-            "max_power": table.max_power,
-            "rows": [
-                {"k": row.power, "coefficients": [str(v) for v in row.values]}
-                for row in table.rows
-            ],
-        }
-        print(canonical_json(payload))
+        entries = ({"k": row.power, "coefficients": [str(v) for v in row.values]} for row in rows)
+        _print_json({"max_power": args.upto, "rows": entries})
     else:
-        header = ["k"] + [f"j={j}" for j in range(table.max_power + 1)]
-        rows = ([str(row.power), *map(str, row.values)] for row in table.rows)
-        _print_rows(args.format, header, rows)
+        header = ["k"] + [f"j={j}" for j in range(args.upto + 1)]
+        _print_rows(args.format, header, ([str(row.power), *map(str, row.values)] for row in rows))
     return 0
 
 

@@ -8,8 +8,9 @@ power k is computed by three independent routes:
 * :func:`coefficient`: the closed form C(k, j) * d_k^j,
 * :func:`coefficient_by_contraction`: counting contraction patterns
   directly, C(k, p) * (1/p!) * sum_l C(p, l) d_{k-l},
-* :func:`decomposition_table`: the two-term recurrence
-  c_{j+1}^k = ((k-j) c_j^k + k c_j^{k-1}) / (j+1)^2 seeded by c_0^k = d_k.
+* :func:`decomposition_rows`: the two-term recurrence
+  c_{j+1}^k = ((k-j) c_j^k + k c_j^{k-1}) / (j+1)^2 seeded by c_0^k = d_k,
+  one row at a time; :func:`decomposition_table` keeps every row.
 
 All three must agree entry for entry; every division is exact and
 checked.  :func:`coefficient_row` computes the same closed form for a
@@ -18,13 +19,15 @@ whole row from one rolling row of the difference table.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import mul
 
 from .combinatorics import (
     binomial,
     derangement,
+    derangement_numbers,
     exact_div,
     factorial,
     higher_derangement,
@@ -39,6 +42,7 @@ __all__ = [
     "coefficient",
     "coefficient_by_contraction",
     "coefficient_row",
+    "decomposition_rows",
     "decomposition_table",
 ]
 
@@ -112,21 +116,31 @@ def coefficient_row(k: int) -> CoefficientRow:
 
 
 def decomposition_table(max_power: int) -> DecompositionTable:
-    """Rows 1..max_power built from the two-term recurrence.
+    """Rows 1..max_power built from the two-term recurrence."""
+    return DecompositionTable(max_power, tuple(decomposition_rows(max_power)))
 
-    Each row starts at c_0^k = d_k and steps right through
+
+def decomposition_rows(max_power: int) -> Iterator[CoefficientRow]:
+    """Coefficient rows 1..max_power from the two-term recurrence, one at a time.
+
+    Each row starts at c_0^k = d_k, read from one pass of
+    :func:`derangement_numbers`, and steps right through
     c_{j+1}^k = ((k-j) c_j^k + k c_j^{k-1}) / (j+1)^2, the division
-    checked exact.  The power-0 row (1,) seeds the recursion.
+    checked exact.  The power-0 row (1,) seeds the recursion, and only
+    the row before is held.  The argument is checked at the call, before
+    the first row is asked for.
     """
     if max_power < 1:
         raise ValueError("decomposition_table requires max_power >= 1")
-    rows = []
+    return _decomposition_rows(max_power)
+
+
+def _decomposition_rows(max_power: int) -> Iterator[CoefficientRow]:
     previous: tuple[int, ...] = (1,)
-    for k in range(1, max_power + 1):
-        values = [derangement(k)]
+    seeds = islice(derangement_numbers(), 1, max_power + 1)
+    for k, d_k in enumerate(seeds, start=1):
+        values = [d_k]
         for j in range(k):
             values.append(exact_div((k - j) * values[j] + k * previous[j], (j + 1) ** 2))
         previous = tuple(values)
-        rows.append(CoefficientRow(k, previous))
-    return DecompositionTable(max_power, tuple(rows))
-
+        yield CoefficientRow(k, previous)

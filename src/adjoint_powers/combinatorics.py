@@ -11,6 +11,7 @@ must come out even goes through :func:`exact_div`, which refuses to round.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, permutations
@@ -28,10 +29,12 @@ __all__ = [
     "derangement_enumeration_oracle",
     "derangement_numbers",
     "egf_coefficients",
+    "euler_rows",
     "euler_table",
     "exact_div",
     "factorial",
     "higher_derangement",
+    "higher_derangement_rows",
     "higher_derangement_table",
 ]
 
@@ -100,16 +103,30 @@ class EulerTable:
 
 def euler_table(max_index: int) -> EulerTable:
     """Build the difference table for all 0 <= j <= k <= max_index."""
+    return EulerTable(max_index, tuple(euler_rows(max_index)))
+
+
+def euler_rows(max_index: int) -> Iterator[tuple[int, ...]]:
+    """Rows e[0], e[1], ..., e[max_index] of the difference table, one at a time.
+
+    Row k is seeded with e[k][k] = k! and swept downward in j from the
+    row before it, the only row held.  The argument is checked at the
+    call, before the first row is asked for.
+    """
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
-    rows: list[tuple[int, ...]] = []
+    return _euler_rows(max_index)
+
+
+def _euler_rows(max_index: int) -> Iterator[tuple[int, ...]]:
+    previous: tuple[int, ...] = ()
     for k in range(max_index + 1):
         row = [0] * (k + 1)
         row[k] = factorial(k)
         for j in range(k - 1, -1, -1):
-            row[j] = row[j + 1] - rows[k - 1][j]
-        rows.append(tuple(row))
-    return EulerTable(max_index, tuple(rows))
+            row[j] = row[j + 1] - previous[j]
+        previous = tuple(row)
+        yield previous
 
 
 def derangement(k: int, method: str = "adjacent") -> int:
@@ -216,25 +233,33 @@ class HigherDerangementTable:
 
 
 def higher_derangement_table(max_index: int) -> HigherDerangementTable:
-    """All d[n][k] = e[n][k] / k! for 0 <= k <= n <= max_index, division-free.
+    """All d[n][k] = e[n][k] / k! for 0 <= k <= n <= max_index, division-free."""
+    return HigherDerangementTable(max_index, tuple(higher_derangement_rows(max_index)))
+
+
+def higher_derangement_rows(max_index: int) -> Iterator[tuple[int, ...]]:
+    """Rows d[0], d[1], ..., d[max_index] of the higher derangements, one at a time.
 
     The difference-table recurrence e[n][k] = e[n][k+1] - e[n-1][k],
     divided through by k!, reads d[n][k] = (k+1) d[n][k+1] - d[n-1][k]
     with d[n][n] = 1.  Each row is swept downward in k from that diagonal,
     so every entry is an exact integer by construction: no factorial is
-    formed and nothing is divided.
+    formed and nothing is divided.  Only the row before is held.  The
+    argument is checked at the call, before the first row is asked for.
     """
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
-    rows: list[tuple[int, ...]] = []
+    return _higher_derangement_rows(max_index)
+
+
+def _higher_derangement_rows(max_index: int) -> Iterator[tuple[int, ...]]:
     previous: tuple[int, ...] = ()
     for n in range(max_index + 1):
         row = [1] * (n + 1)
         for k in range(n - 1, -1, -1):
             row[k] = (k + 1) * row[k + 1] - previous[k]
         previous = tuple(row)
-        rows.append(previous)
-    return HigherDerangementTable(max_index, tuple(rows))
+        yield previous
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,21 @@
 """CLI contract: exact output, formats, exit codes, JSON round trips."""
 
 import hashlib
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from adjoint_powers import PowerCheck, VerificationReport, coefficient, derangement
+from adjoint_powers import (
+    PowerCheck,
+    VerificationReport,
+    coefficient,
+    decomposition_table,
+    derangement,
+    euler_table,
+)
 from adjoint_powers import cli
 from adjoint_powers.cli import run
 
@@ -193,6 +202,73 @@ def test_output_is_deterministic(argv, capsys):
     second = invoke(argv, capsys)
     assert first[0] == second[0] == 0
     assert first[1] == second[1]
+
+
+def test_streamed_json_matches_json_dumps_at_scale(capsys):
+    table = euler_table(120)
+    reference = {
+        "max_index": 120,
+        "rows": [{"k": k, "entries": [str(v) for v in table.row(k)]} for k in range(121)],
+    }
+    code, out, _ = invoke(["table", "euler", "--max", "120", "--format", "json"], capsys)
+    assert code == 0
+    assert out == json.dumps(reference, indent=2, sort_keys=True) + "\n"
+    reference = {
+        "max_power": 120,
+        "rows": [
+            {"k": row.power, "coefficients": [str(v) for v in row.values]}
+            for row in decomposition_table(120).rows
+        ],
+    }
+    code, out, _ = invoke(["coeffs", "--upto", "120", "--format", "json"], capsys)
+    assert code == 0
+    assert out == json.dumps(reference, indent=2, sort_keys=True) + "\n"
+
+
+# (command, row generator it draws from, module attribute, text of its first row)
+STREAMED_COMMANDS = [
+    ("table euler --max 4 --format json", "combinatorics", "euler_rows", '"k": 0\n    }'),
+    ("table higher --max 4 --format json", "combinatorics", "higher_derangement_rows", '"n": 0\n    }'),
+    ("coeffs --upto 5 --format json", "coefficients", "decomposition_rows", '"k": 1\n    }'),
+    ("table euler --max 4 --format csv", "combinatorics", "euler_rows", "0,1\n"),
+    ("coeffs --upto 5 --format markdown", "coefficients", "decomposition_rows", "| 1 | 0 | 1 |\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,module,name,first_row", STREAMED_COMMANDS, ids=[c[0] for c in STREAMED_COMMANDS]
+)
+def test_rows_are_written_before_the_last_is_drawn(command, module, name, first_row, monkeypatch):
+    out = io.StringIO()
+    written_before = {}
+    rows = getattr(getattr(cli, module), name)
+
+    def counting_rows(size):
+        source = rows(size)
+
+        def draw():
+            for count, row in enumerate(source, start=1):
+                written_before[count] = out.getvalue()
+                yield row
+
+        return draw()
+
+    monkeypatch.setattr(getattr(cli, module), name, counting_rows)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run(command.split()) == 0
+    last = max(written_before)
+    assert last == 5  # every command above prints five rows
+    assert first_row in written_before[last]
+    assert out.getvalue().startswith(written_before[last])
+    assert first_row not in written_before[1]
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_row_generator_domain_error_exits_two_before_any_output(fmt, capsys):
+    code, out, err = invoke(["coeffs", "--upto", "0", "--format", fmt], capsys)
+    assert code == 2
+    assert out == ""
+    assert "decomposition_table requires max_power >= 1" in err
 
 
 def test_usage_errors_exit_two(capsys):

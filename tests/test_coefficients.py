@@ -8,9 +8,11 @@ from adjoint_powers import (
     coefficient,
     coefficient_by_contraction,
     coefficient_row,
+    decomposition_rows,
     decomposition_table,
     derangement,
 )
+from adjoint_powers import coefficients
 from adjoint_powers.cli import run
 
 # Reference decomposition rows for powers 1..10 (65 coefficients).
@@ -130,6 +132,24 @@ def test_domain_errors():
         coefficient_row(-1)
     with pytest.raises(ValueError):
         decomposition_table(3).row(4)
+
+
+def test_decomposition_rows_validate_at_the_call():
+    # Raised by the call itself, before any row is drawn, with the table's message.
+    message = r"^decomposition_table requires max_power >= 1$"
+    with pytest.raises(ValueError, match=message):
+        decomposition_rows(0)
+    with pytest.raises(ValueError, match=message):
+        decomposition_table(0)
+
+
+def test_recurrence_seeds_every_row_from_one_derangement_pass(monkeypatch):
+    def refused(k, method="adjacent"):
+        raise AssertionError(f"derangement({k}) recomputed from d_0")
+
+    monkeypatch.setattr(coefficients, "derangement", refused)
+    table = decomposition_table(10)
+    assert {row.power: row.values for row in table.rows} == GOLDEN_ROWS
 
 
 # Rendering lives in the CLI: decomposition tables print through its one

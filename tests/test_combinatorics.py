@@ -13,10 +13,12 @@ from adjoint_powers import (
     derangement_enumeration_oracle,
     derangement_numbers,
     egf_coefficients,
+    euler_rows,
     euler_table,
     exact_div,
     factorial,
     higher_derangement,
+    higher_derangement_rows,
     higher_derangement_table,
 )
 
@@ -242,6 +244,17 @@ def test_higher_derangement_table_invariants():
             assert table.entry(n, k) * factorial(k) == base.entry(n, k)
             if 1 <= k <= n - 1:
                 assert table.entry(n, k) * k == table.entry(n, k - 1) + table.entry(n - 1, k - 1)
+
+
+@pytest.mark.parametrize(
+    "rows,table", [(euler_rows, euler_table), (higher_derangement_rows, higher_derangement_table)]
+)
+def test_row_generators_validate_at_the_call(rows, table):
+    # Raised by the call itself, before any row is drawn, with the table's message.
+    with pytest.raises(ValueError, match=r"^max_index must be >= 0$"):
+        rows(-1)
+    with pytest.raises(ValueError, match=r"^max_index must be >= 0$"):
+        table(-1)
 
 
 def test_higher_derangement_domain_errors():
