@@ -19,8 +19,8 @@ whole row from one rolling row of the difference table.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import mul
 
@@ -47,20 +47,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoefficientRow:
-    """The coefficients (c_0, ..., c_k) of one tensor power."""
+class CoefficientRow(namedtuple("CoefficientRow", ["power", "values"])):
+    """The coefficients (c_0, ..., c_k) of one tensor power, as the
+    immutable named tuple ``(power, values)``."""
 
-    power: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DecompositionTable:
-    """Coefficient rows for powers 1..max_power."""
+class DecompositionTable(namedtuple("DecompositionTable", ["max_power", "rows"])):
+    """Coefficient rows for powers 1..max_power, as the immutable named
+    tuple ``(max_power, rows)``, ``rows`` a tuple of :class:`CoefficientRow`."""
 
-    max_power: int
-    rows: tuple[CoefficientRow, ...]
+    __slots__ = ()
 
     def row(self, k: int) -> CoefficientRow:
         if not 1 <= k <= self.max_power:

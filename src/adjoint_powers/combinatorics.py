@@ -1,7 +1,8 @@
 """Exact integer combinatorics built around Euler's difference table.
 
 Everything here is arbitrary-precision: integers are plain Python ``int``,
-rationals are ``fractions.Fraction``.  The central objects are the
+rationals are ``fractions.Fraction``, imported by :func:`egf_coefficients`,
+the one function that builds them.  The central objects are the
 triangular difference table ``e[k][j]`` (diagonal ``j!``, backward
 difference recurrence), the derangement numbers it produces in its first
 column, and the integer refinement ``d[n][k] = e[n][k] / k!``, which has a
@@ -11,9 +12,8 @@ must come out even goes through :func:`exact_div`, which refuses to round.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count, islice, permutations
 import math
 from operator import eq
@@ -78,17 +78,17 @@ def binomial(k: int, j: int) -> int:
     return math.comb(k, j)
 
 
-@dataclass(frozen=True)
-class EulerTable:
+class EulerTable(namedtuple("EulerTable", ["max_index", "entries"])):
     """Triangular difference table with entries ``e[k][j]`` for 0 <= j <= k.
 
     The diagonal is seeded with ``e[j][j] = j!`` and each row is swept
     downward in j via ``e[k][j] = e[k][j+1] - e[k-1][j]``; column 0 then
-    holds the derangement numbers.  Immutable after construction.
+    holds the derangement numbers.  An immutable named tuple
+    ``(max_index, entries)``, ``entries`` a tuple of row tuples; like
+    every record of the package, it compares and hashes as that tuple.
     """
 
-    max_index: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def entry(self, k: int, j: int) -> int:
         if not 0 <= j <= k <= self.max_index:
@@ -214,12 +214,14 @@ def higher_derangement(n: int, k: int, method: str = "table") -> int:
     )
 
 
-@dataclass(frozen=True)
-class HigherDerangementTable:
-    """Triangular table of d[n][k] = e[n][k] / k! for 0 <= k <= n <= max_index."""
+class HigherDerangementTable(namedtuple("HigherDerangementTable", ["max_index", "entries"])):
+    """Triangular table of d[n][k] = e[n][k] / k! for 0 <= k <= n <= max_index.
 
-    max_index: int
-    entries: tuple[tuple[int, ...], ...]
+    An immutable named tuple ``(max_index, entries)``, ``entries`` a
+    tuple of row tuples.
+    """
+
+    __slots__ = ()
 
     def entry(self, n: int, k: int) -> int:
         if not 0 <= k <= n <= self.max_index:
@@ -262,19 +264,18 @@ def _higher_derangement_rows(max_index: int) -> Iterator[tuple[int, ...]]:
         yield previous
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(namedtuple("PowerSeries", ["parameter", "order", "coefficients"])):
     """Exact rational truncation of exp(-x) / (1-x)^(parameter+1).
 
-    ``coefficients[m]`` is the coefficient of x^m and equals
+    An immutable named tuple ``(parameter, order, coefficients)``:
+    ``coefficients[m]`` is the ``Fraction`` coefficient of x^m and equals
     d_{m+parameter}^parameter / m!.
     """
 
-    parameter: int
-    order: int
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def coefficient(self, m: int) -> Fraction:
+    def coefficient(self, m: int):
+        """The ``Fraction`` coefficient of x^m."""
         if not 0 <= m <= self.order:
             raise ValueError(f"coefficient {m} outside truncation order {self.order}")
         return self.coefficients[m]
@@ -296,6 +297,8 @@ def egf_coefficients(k: int, order: int) -> PowerSeries:
         raise ValueError("series parameter must be >= 0")
     if order < 0:
         raise ValueError("order must be >= 0")
+    from fractions import Fraction
+
     binomials = [binomial(j + k, k) for j in range(order + 1)]
     coefficients = []
     for m in range(order + 1):

@@ -26,7 +26,7 @@ part of the product path.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import compress, permutations
 from math import perm
 
@@ -306,27 +306,32 @@ def adjoint_power(k: int, n: int) -> dict[Labels, int]:
     return state
 
 
-@dataclass(frozen=True, order=True)
-class StableLabel:
+class StableLabel(namedtuple("StableLabel", ["left", "right"])):
     """Rank-free name for a stable-range irrep: a pair of partitions.
 
     Tracelessness forces equal box counts on the two sides; ((p,), (p,))
-    names the leading irrep of block p.
+    names the leading irrep of block p.  Both are checked when a label
+    is made.  An immutable named tuple ``(left, right)``: it compares,
+    hashes and sorts as that plain tuple, so
+    ``StableLabel((1,), (1,)) == ((1,), (1,))``.
     """
 
-    left: tuple[int, ...]
-    right: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for side in (self.left, self.right):
+    def __new__(cls, left: tuple[int, ...], right: tuple[int, ...]) -> StableLabel:
+        for side in (left, right):
             if any(a <= 0 for a in side) or any(
                 side[i] < side[i + 1] for i in range(len(side) - 1)
             ):
                 raise ValueError(f"not a partition: {side}")
-        if sum(self.left) != sum(self.right):
-            raise ValueError(
-                f"sides must have equal box counts: {self.left} vs {self.right}"
-            )
+        if sum(left) != sum(right):
+            raise ValueError(f"sides must have equal box counts: {left} vs {right}")
+        return tuple.__new__(cls, (left, right))
+
+    @classmethod
+    def _make(cls, iterable) -> StableLabel:
+        # namedtuple's _make, which _replace calls, would skip the checks.
+        return cls(*iterable)
 
 
 def leading_block_label(p: int) -> StableLabel:
@@ -385,19 +390,42 @@ def _check_stable_range(k_max: int, n: int) -> None:
         raise ValueError(f"stable range requires 2*k_max <= n+1, got ({k_max}, {n})")
 
 
-@dataclass
-class PowerCheck:
+class PowerCheck(
+    namedtuple(
+        "PowerCheck",
+        "power dimension_expected dimension_observed trivial_expected trivial_observed"
+        " leading_ok negative_entries residual",
+    )
+):
     """Verification record for one tensor power; :attr:`passed` is the
-    one definition of a valid power, for both oracle entry points."""
+    one definition of a valid power, for both oracle entry points.
 
-    power: int
-    dimension_expected: int
-    dimension_observed: int
-    trivial_expected: int
-    trivial_observed: int
-    leading_ok: bool
-    negative_entries: dict[StableLabel, int] = field(default_factory=dict)
-    residual: dict[StableLabel, tuple[int, int]] = field(default_factory=dict)
+    An immutable named tuple.  ``negative_entries`` maps a stable label
+    to its negative multiplicity and ``residual`` a stable label to its
+    (expected, observed) pair; each defaults to a new empty dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        power: int,
+        dimension_expected: int,
+        dimension_observed: int,
+        trivial_expected: int,
+        trivial_observed: int,
+        leading_ok: bool,
+        negative_entries: dict[StableLabel, int] | None = None,
+        residual: dict[StableLabel, tuple[int, int]] | None = None,
+    ) -> PowerCheck:
+        if negative_entries is None:
+            negative_entries = {}
+        if residual is None:
+            residual = {}
+        return tuple.__new__(cls, (
+            power, dimension_expected, dimension_observed, trivial_expected,
+            trivial_observed, leading_ok, negative_entries, residual,
+        ))
 
     @property
     def passed(self) -> bool:
@@ -410,15 +438,15 @@ class PowerCheck:
         )
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of certifying the coefficient formulas at one rank."""
+class VerificationReport(
+    namedtuple("VerificationReport", ["k_max", "rank", "passed", "checks", "seconds"])
+):
+    """Outcome of certifying the coefficient formulas at one rank: the
+    immutable named tuple ``(k_max, rank, passed, checks, seconds)``,
+    ``checks`` a list of :class:`PowerCheck` and ``seconds`` the wall
+    time of the certification."""
 
-    k_max: int
-    rank: int
-    passed: bool
-    checks: list[PowerCheck]
-    seconds: float
+    __slots__ = ()
 
     def to_payload(self) -> dict:
         """JSON-ready form: integers as decimal strings, stable labels as

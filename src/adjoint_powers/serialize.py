@@ -17,7 +17,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import repeat
-from json.encoder import encode_basestring_ascii
+
+# The C string encoder, without loading the json package; json.encoder
+# binds the same function when the C module is present.
+try:
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 __all__ = ["canonical_json", "iterencode"]
 

@@ -1,14 +1,22 @@
 """Package surface: every public name of a module is exported by the package,
-and every name the benchmark's traced run wraps exists."""
+every name the benchmark's traced run wraps exists, the CLI imports only
+what a command runs, the README's library example holds, and the test
+configuration reports a failing property instead of crashing."""
 
+import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import adjoint_powers
 from adjoint_powers import coefficients, combinatorics, lie
+
+ROOT = Path(__file__).parents[1]
 
 
 @pytest.mark.parametrize("module", [combinatorics, coefficients, lie], ids=lambda m: m.__name__)
@@ -24,7 +32,7 @@ def test_benchmark_traced_attributes_resolve():
     # perfbench/run.py's TRACED with getattr/setattr; a name the package
     # drops or renames would break that run.  Only the module is loaded:
     # its main() is not called.
-    path = Path(__file__).parents[1] / "perfbench" / "run.py"
+    path = ROOT / "perfbench" / "run.py"
     spec = importlib.util.spec_from_file_location("perfbench_run", path)
     harness = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(harness)
@@ -32,3 +40,87 @@ def test_benchmark_traced_attributes_resolve():
     for module, attr in harness.TRACED:
         owner = importlib.import_module(f"adjoint_powers.{module}")
         assert callable(getattr(owner, attr, None)), f"{module}.{attr}"
+
+
+# Modules a command does not need: dataclasses and what it pulls in
+# (inspect, ast, dis, tokenize), fractions with decimal (only ``series``
+# builds a Fraction, inside egf_coefficients), and the json package (the
+# encoder uses the C string encoder from _json).
+NOT_IMPORTED_BY_CLI = {
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "json",
+}
+
+
+def test_cli_import_adds_none_of_the_unneeded_modules():
+    # A fresh interpreter: what it loads before the import (``site`` may
+    # preload modules) is the baseline, and only the import's additions count.
+    code = (
+        "import sys; baseline = set(sys.modules); import adjoint_powers.cli; "
+        "print(*sorted(set(sys.modules) - baseline))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    added = set(result.stdout.split())
+    assert "adjoint_powers.cli" in added
+    assert not added & NOT_IMPORTED_BY_CLI, sorted(added & NOT_IMPORTED_BY_CLI)
+
+
+FALSE_PROPERTY = '''
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_false(x):
+    assert x < 5
+'''
+
+
+def test_failing_property_reports_its_falsifying_example(tmp_path):
+    # Under the project's warnings filter a failing Hypothesis property is
+    # one plain failure with its example, not an INTERNALERROR: Hypothesis's
+    # pytest plugin reaches a DeprecationWarning (through libcst) while it
+    # reports the failure.
+    test_file = tmp_path / "test_false_property.py"
+    test_file.write_text(FALSE_PROPERTY)
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), str(test_file),
+        ],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    output = result.stdout + result.stderr
+    assert "INTERNALERROR" not in output
+    assert "Falsifying example" in output
+    assert "1 failed" in output and result.returncode == 1
+
+
+def test_readme_library_example_holds():
+    # The README's python block runs as written, and every line whose
+    # comment is a Python literal evaluates to that literal.
+    blocks = (ROOT / "README.md").read_text().split("```python\n")[1:]
+    assert len(blocks) == 1
+    example = blocks[0].split("```")[0]
+    namespace: dict = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    stated = {}
+    for line in example.splitlines():
+        expression, _, comment = line.partition("#")
+        try:
+            stated[expression.strip()] = ast.literal_eval(comment.strip())
+        except (ValueError, SyntaxError):
+            continue
+    assert stated == {
+        "decomposition_table(5).row(5).values": (44, 265, 320, 130, 20, 1),
+        "coefficient(10, 5)": 4558428,
+    }
+    for expression, value in stated.items():
+        assert eval(expression, namespace) == value
+    assert namespace["report"].passed
+    assert len(namespace["blocks"]) == 4
