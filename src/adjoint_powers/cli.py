@@ -7,17 +7,20 @@ byte-identical for identical arguments; diagnostics (including timings)
 go to stderr.
 
 Exit codes: 0 success, 1 verification failure (report still printed),
-2 usage or domain error, including a request above its cost limit.
+2 usage or domain error, including a request above its cost limit, 141
+(128 + SIGPIPE) when the reader closes stdout early, as ``| head`` does.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import islice
 
 from . import coefficients, combinatorics, lie
 from .combinatorics import ExactDivisionError
+# canonical_json is unused here, but kept bound: perfbench/run.py traces cli.canonical_json.
 from .serialize import canonical_json, iterencode
 
 TABLE_FORMATS = ("markdown", "csv", "json")
@@ -31,7 +34,7 @@ REPORT_FORMATS = ("text", "json")
 TABLE_LIMIT = 750
 #: Largest ``table derangement --max``: one column, so far longer than the triangles.
 DERANGEMENT_TABLE_LIMIT = 5000
-#: Largest ``coeffs --k``: one rolling difference-table row, O(k^2) big-integer steps.
+#: Largest ``coeffs --k``: rows 0..k of the higher derangements, O(k^2) big-integer steps.
 COEFFS_K_LIMIT = 3000
 #: Largest ``coeffs --upto``: streamed row by row like the tables.
 COEFFS_UPTO_LIMIT = 850
@@ -157,7 +160,7 @@ def _cmd_coeffs(args) -> int:
         row = coefficients.coefficient_row(args.k)
         values = [str(v) for v in row.values]
         if args.format == "json":
-            print(canonical_json({"k": row.power, "coefficients": values}))
+            _print_json({"k": row.power, "coefficients": values})
         else:
             header = ["k"] + [f"j={j}" for j in range(len(values))]
             # The single-row CSV is the bare coefficients, without the power.
@@ -184,7 +187,7 @@ def _cmd_series(args) -> int:
     values = [str(c) for c in series.coefficients]
     if args.format == "json":
         payload = {"k": series.parameter, "order": series.order, "coefficients": values}
-        print(canonical_json(payload))
+        _print_json(payload)
     else:
         rows = ([str(m), value] for m, value in enumerate(values))
         _print_rows(args.format, ["m", "coefficient"], rows)
@@ -226,12 +229,13 @@ def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
                 assert table.entry(k, j) % combinatorics.factorial(j) == 0, f"(k,j)=({k},{j})"
 
     def higher_routes() -> None:
-        for n in range(limit + 1):
-            for k in range(n + 1):
+        rows = combinatorics.higher_derangement_rows(limit)  # what ``table higher`` prints
+        for n, row in zip(range(limit + 1), rows, strict=True):
+            for k, printed in zip(range(n + 1), row, strict=True):
                 table = combinatorics.higher_derangement(n, k, "table")
                 recurrence = combinatorics.higher_derangement(n, k, "recurrence")
                 closed = combinatorics.higher_derangement(n, k, "closed_form")
-                assert table == recurrence == closed, f"(n,k)=({n},{k})"
+                assert table == recurrence == closed == printed, f"(n,k)=({n},{k})"
 
     def higher_laws() -> None:
         for n in range(limit + 1):
@@ -252,10 +256,11 @@ def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
         table = coefficients.decomposition_table(limit)
         for k in range(1, limit + 1):
             row = table.row(k).values
-            for j in range(k + 1):
+            printed = coefficients.coefficient_row(k).values  # what ``coeffs --k`` prints
+            for j, value in zip(range(k + 1), printed, strict=True):
                 closed = coefficients.coefficient(k, j)
                 contraction = coefficients.coefficient_by_contraction(k, j)
-                assert closed == contraction == row[j], f"(k,j)=({k},{j})"
+                assert closed == contraction == row[j] == value, f"(k,j)=({k},{j})"
 
     record(f"derangement routes agree (0..{limit})", derangement_routes)
     record(f"enumeration oracle matches (0..{min(limit, 9)})", enumeration)
@@ -282,7 +287,7 @@ def _cmd_verify_combinatorics(args) -> int:
                 for name, ok, detail in checks
             ],
         }
-        print(canonical_json(payload))
+        _print_json(payload)
     else:
         for name, ok, detail in checks:
             print(f"ok {name}" if ok else f"FAIL {name}: {detail}")
@@ -330,7 +335,7 @@ def _cmd_verify_oracle(args) -> int:
     _require_at_most(ORACLE_RANK_LIMIT, n=args.n)
     report = lie.verify_stable_decomposition(args.kmax, args.n)
     if args.format == "json":
-        print(canonical_json(report.to_payload()))
+        _print_json(report.to_payload())
     else:
         print(_render_report_text(report))
     print(
@@ -370,4 +375,11 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone; devnull on stdout keeps the flush at exit from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(141) from None
+    raise SystemExit(code)

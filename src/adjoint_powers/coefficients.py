@@ -14,15 +14,14 @@ power k is computed by three independent routes:
 
 All three must agree entry for entry; every division is exact and
 checked.  :func:`coefficient_row` computes the same closed form for a
-whole row from one rolling row of the difference table.
+whole row from :func:`higher_derangement_rows`, which ``table higher`` prints.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import accumulate, islice
-from operator import mul
+from itertools import islice
 
 from .combinatorics import (
     binomial,
@@ -31,6 +30,7 @@ from .combinatorics import (
     exact_div,
     factorial,
     higher_derangement,
+    higher_derangement_rows,
 )
 
 # Unused here, but kept bound: perfbench/run.py traces coefficients.canonical_json.
@@ -90,27 +90,15 @@ def coefficient_by_contraction(k: int, p: int) -> int:
 def coefficient_row(k: int) -> CoefficientRow:
     """One full row (c_0^k, ..., c_k^k) by the closed form; k = 0 gives (1,).
 
-    Row k of the difference table is built from one rolling row,
-    e_m^m = m! and e_m^j = e_m^{j+1} - e_{m-1}^j, then divided entry by
-    entry by a running j!, giving d_k^j, and weighted by C(k, j).
+    d_k^j is read from the last row of :func:`higher_derangement_rows`,
+    which holds one row of the table at a time and never divides, and
+    weighted by C(k, j).
     """
     if k < 0:
         raise ValueError("coefficient_row requires k >= 0")
-    entries = [1]  # e_0^0
-    m_factorial = 1
-    for m in range(1, k + 1):
-        m_factorial *= m
-        entries.append(m_factorial)
-        for j in range(m - 1, -1, -1):
-            entries[j] = entries[j + 1] - entries[j]
-    factorials = accumulate(range(1, k + 1), mul, initial=1)
-    return CoefficientRow(
-        k,
-        tuple(
-            binomial(k, j) * exact_div(entry, j_factorial)
-            for j, (entry, j_factorial) in enumerate(zip(entries, factorials))
-        ),
-    )
+    for row in higher_derangement_rows(k):
+        pass
+    return CoefficientRow(k, tuple(binomial(k, j) * d for j, d in enumerate(row)))
 
 
 def decomposition_table(max_power: int) -> DecompositionTable:

@@ -3,12 +3,15 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from adjoint_powers import (
+    CoefficientRow,
     PowerCheck,
     VerificationReport,
     coefficient,
@@ -125,6 +128,38 @@ def test_verify_combinatorics_records_value_error_as_failure(capsys, monkeypatch
     lines = out.splitlines()
     assert "FAIL higher derangement routes agree (0..4): domain error: planted domain error at (0, 0)" in lines
     assert lines[-1] == "result: FAIL"
+
+
+def test_verify_combinatorics_checks_the_printed_higher_table(capsys, monkeypatch):
+    # The rows ``table higher`` prints are one of the routes compared.
+    rows = cli.combinatorics.higher_derangement_rows
+
+    def off_by_one(max_index):
+        for n, row in enumerate(rows(max_index)):
+            yield (row[0], row[1] + 1, *row[2:]) if n == 3 else row
+
+    monkeypatch.setattr("adjoint_powers.cli.combinatorics.higher_derangement_rows", off_by_one)
+    code, out, _ = invoke(["verify", "combinatorics", "--max", "4"], capsys)
+    assert code == 1
+    failures = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failures == ["FAIL higher derangement routes agree (0..4): (n,k)=(3,1)"]
+
+
+def test_verify_combinatorics_checks_the_printed_coefficient_row(capsys, monkeypatch):
+    # The row ``coeffs --k`` prints is one of the routes compared.
+    coefficient_row = cli.coefficients.coefficient_row
+
+    def off_by_one(k):
+        row = coefficient_row(k)
+        if k != 3:
+            return row
+        return CoefficientRow(k, (*row.values[:2], row.values[2] + 1, *row.values[3:]))
+
+    monkeypatch.setattr("adjoint_powers.cli.coefficients.coefficient_row", off_by_one)
+    code, out, _ = invoke(["verify", "combinatorics", "--max", "4"], capsys)
+    assert code == 1
+    failures = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failures == ["FAIL coefficient routes agree (0..4): (k,j)=(3,2)"]
 
 
 def test_verify_oracle_passes(capsys):
@@ -269,6 +304,31 @@ def test_row_generator_domain_error_exits_two_before_any_output(fmt, capsys):
     assert code == 2
     assert out == ""
     assert "decomposition_table requires max_power >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "table euler --max 300 --format csv",
+        "table higher --max 400 --format json",
+        "coeffs --upto 300",
+    ],
+)
+def test_reader_closing_stdout_early_exits_141_without_traceback(command):
+    # Like ``| head -1``: each command prints megabytes, far more than a pipe
+    # holds, so its writes fail once the reader has gone.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    with subprocess.Popen(
+        [sys.executable, "-m", "adjoint_powers", *command.split()],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as process:
+        assert process.stdout.readline()
+        process.stdout.close()
+        err = process.stderr.read().decode()
+        assert process.wait(timeout=60) == 141
+    assert err == ""  # no BrokenPipeError traceback
 
 
 def test_usage_errors_exit_two(capsys):

@@ -25,6 +25,10 @@ def test_module_public_names_are_exported(module):
     assert not missing, f"{module.__name__} names not exported by the package: {missing}"
     for name in module.__all__:
         assert getattr(adjoint_powers, name) is getattr(module, name)
+    # The package exports exactly the modules' names, each once.
+    names = combinatorics.__all__ + coefficients.__all__ + lie.__all__
+    assert len(set(names)) == len(names)
+    assert sorted(adjoint_powers.__all__) == sorted(set(names))
 
 
 def test_benchmark_traced_attributes_resolve():
