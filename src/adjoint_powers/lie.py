@@ -16,19 +16,24 @@ equality is plain tuple comparison.  Tensor steps always multiply by
 the adjoint, factored through V x V* = adjoint + trivial: Pieri's rule
 for the defining rep V adds a box to a row, Pieri's rule for its dual
 removes one, and the input state is subtracted once, so no weight is
-reflected to the dominant chamber.  Weyl dimensions multiply over pairs
-of runs of equal parts.  The adjoint weight system is closed form (the
-(n+1)n root vectors plus the zero weight with multiplicity n); it and
-the Freudenthal recursion are kept as independent cross-checks, not as
-part of the product path.
+reflected to the dominant chamber.  Weyl dimensions and stable labels
+are both read from the runs of equal parts, one run per nonzero Dynkin
+label, so neither builds an (n+1)-vector.  A label and its dual (the
+reversed labels) share one measurement: the dual has the same dimension
+and the swapped stable pair, so at (10, 19) the certification measures
+1,861 of the 3,583 distinct labels.  The adjoint weight system is
+closed form (the (n+1)n root vectors plus the zero weight with
+multiplicity n); it and the Freudenthal recursion are kept as
+independent cross-checks, not as part of the product path.
 """
 
 from __future__ import annotations
 
 import time
 from collections import namedtuple
-from itertools import compress, permutations
+from itertools import chain, compress, permutations, repeat
 from math import perm
+from operator import ge
 
 from .coefficients import coefficient
 from .combinatorics import derangement, exact_div
@@ -107,6 +112,21 @@ def _rho(n: int) -> tuple[int, ...]:
     return tuple(range(n, -1, -1))
 
 
+def _runs(labels: Labels, n: int) -> list[tuple[int, int, int]]:
+    """Runs of equal parts of the highest weight, top row first, as
+    (first row, row after the last, part).  A run ends at each nonzero
+    Dynkin label and at row n, so only the nonzero labels are visited."""
+    runs = []
+    start = 0
+    part = sum(labels)
+    for p in compress(range(n), labels):
+        runs.append((start, p + 1, part))
+        start = p + 1
+        part -= labels[p]
+    runs.append((start, n + 1, 0))
+    return runs
+
+
 def weyl_dimension(labels: Labels, n: int) -> int:
     """Dimension of the irreducible with the given highest weight.
 
@@ -120,14 +140,7 @@ def weyl_dimension(labels: Labels, n: int) -> int:
     """
     _check_rank(n)
     _check_labels(labels, n)
-    runs = []  # (first row, row after the last, part)
-    start = 0
-    part = sum(labels)
-    for p in compress(range(n), labels):
-        runs.append((start, p + 1, part))
-        start = p + 1
-        part -= labels[p]
-    runs.append((start, n + 1, 0))
+    runs = _runs(labels, n)
     numerator = 1
     denominator = 1
     for x, (a0, a1, high) in enumerate(runs):
@@ -266,24 +279,40 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
     gained: dict[Labels, int] = {}
     for labels, mult in state.items():
         # Row 0 gains a box, and row p + 1 does below each nonzero a_p.
-        key = (labels[0] + 1,) + labels[1:]
+        # Every key is copied from one list per input label, which each
+        # box move changes and then restores.
+        work = list(labels)
+        work[0] += 1
+        key = tuple(work)
         gained[key] = gained.get(key, 0) + mult
+        work[0] -= 1
         for p in compress(rows, labels):
+            work[p] -= 1
             if p + 1 < n:
-                key = labels[:p] + (labels[p] - 1, labels[p + 1] + 1) + labels[p + 2 :]
+                work[p + 1] += 1
+                key = tuple(work)
+                work[p + 1] -= 1
             else:
-                key = labels[:p] + (labels[p] - 1,)
+                key = tuple(work)
+            work[p] += 1
             gained[key] = gained.get(key, 0) + mult
     out: dict[Labels, int] = {}
     for labels, mult in gained.items():
         # Row n loses a box, and row p does at each nonzero a_p.
-        key = labels[:-1] + (labels[-1] + 1,)
+        work = list(labels)
+        work[-1] += 1
+        key = tuple(work)
         out[key] = out.get(key, 0) + mult
+        work[-1] -= 1
         for p in compress(rows, labels):
+            work[p] -= 1
             if p:
-                key = labels[: p - 1] + (labels[p - 1] + 1, labels[p] - 1) + labels[p + 1 :]
+                work[p - 1] += 1
+                key = tuple(work)
+                work[p - 1] -= 1
             else:
-                key = (labels[0] - 1,) + labels[1:]
+                key = tuple(work)
+            work[p] += 1
             out[key] = out.get(key, 0) + mult
     for labels, mult in state.items():
         left = out.get(labels, 0) - mult
@@ -320,9 +349,8 @@ class StableLabel(namedtuple("StableLabel", ["left", "right"])):
 
     def __new__(cls, left: tuple[int, ...], right: tuple[int, ...]) -> StableLabel:
         for side in (left, right):
-            if any(a <= 0 for a in side) or any(
-                side[i] < side[i + 1] for i in range(len(side) - 1)
-            ):
+            # Weakly decreasing with a positive last part: all parts positive.
+            if side and (side[-1] <= 0 or not all(map(ge, side, side[1:]))):
                 raise ValueError(f"not a partition: {side}")
         if sum(left) != sum(right):
             raise ValueError(f"sides must have equal box counts: {left} vs {right}")
@@ -367,18 +395,23 @@ def dynkin_to_stable(labels: Labels, n: int) -> StableLabel:
 
     Centers the weight vector so positive and negative parts balance;
     the centering shift must be integral, which holds exactly for the
-    weights occurring in adjoint tensor powers.
+    weights occurring in adjoint tensor powers.  Works on the runs of
+    equal parts: each run above the shift adds its length in left parts,
+    each run below it its length in right parts.
     """
     _check_rank(n)
     _check_labels(labels, n)
-    parts = _partition(labels, n)
-    shift, remainder = divmod(sum(parts), n + 1)
+    runs = _runs(labels, n)
+    shift, remainder = divmod(sum((end - start) * part for start, end, part in runs), n + 1)
     if remainder:
         raise ValueError(f"{labels} is not a weight of an adjoint tensor power")
-    centered = [p - shift for p in parts]
-    left = tuple(p for p in centered if p > 0)
-    right = tuple(-p for p in reversed(centered) if p < 0)
-    return StableLabel(left, right)
+    left = chain.from_iterable(
+        repeat(part - shift, end - start) for start, end, part in runs if part > shift
+    )
+    right = chain.from_iterable(
+        repeat(shift - part, end - start) for start, end, part in reversed(runs) if part < shift
+    )
+    return StableLabel(tuple(left), tuple(right))
 
 
 def _check_stable_range(k_max: int, n: int) -> None:
@@ -500,8 +533,12 @@ def _certified_powers(k_max: int, n: int):
     adjoint_dim = (n + 1) ** 2 - 1
     power = {trivial_labels(n): 1}
     blocks: list[dict[StableLabel, int]] = []
-    # Stable label and dimension per Dynkin label, each computed once:
-    # every label of power k - 1 recurs in power k for k >= 2.
+    # Stable label and dimension per Dynkin label, each computed once
+    # per dual pair: every label of power k - 1 recurs in power k for
+    # k >= 2, and the dual of labels a, a[::-1], has the same dimension
+    # and the swapped stable pair.  Every power is self-dual, so the
+    # 3,583 distinct labels at (10, 19) cost 1,861 measurements (139 of
+    # them self-dual).
     measured: dict[Labels, tuple[StableLabel, int]] = {}
     for k in range(k_max + 1):
         if k:
@@ -510,7 +547,12 @@ def _certified_powers(k_max: int, n: int):
         dimension = 0
         for lab, m in power.items():
             if lab not in measured:
-                measured[lab] = (dynkin_to_stable(lab, n), weyl_dimension(lab, n))
+                dual = measured.get(lab[::-1])
+                if dual is None:
+                    measured[lab] = (dynkin_to_stable(lab, n), weyl_dimension(lab, n))
+                else:
+                    (left, right), dim = dual
+                    measured[lab] = (StableLabel(right, left), dim)
             label, dim = measured[lab]
             stable[label] = m
             dimension += m * dim

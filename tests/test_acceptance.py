@@ -199,7 +199,7 @@ def test_criterion_8_oracle_to_power_10():
 
 
 def test_criterion_9_oracle_to_power_13():
-    # Power 13, the largest that cli.ORACLE_KMAX_LIMIT admits, at the
-    # smallest rank in its stable range.
+    # Power 13 at the smallest rank in its stable range.  Power 14, the
+    # largest cli.ORACLE_KMAX_LIMIT admits, takes about twice as long.
     body = _certify_every_power(13, 25)
     _criterion(9, "oracle certification of every power up to 13", 10.0, body)

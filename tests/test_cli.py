@@ -162,6 +162,43 @@ def test_verify_combinatorics_checks_the_printed_coefficient_row(capsys, monkeyp
     assert failures == ["FAIL coefficient routes agree (0..4): (k,j)=(3,2)"]
 
 
+# The planted fault of the test above, in a child run under ``python -O``,
+# which strips assert statements: the checks must still fail there.
+PLANT_AND_VERIFY_UNDER_O = """
+import sys
+from adjoint_powers import CoefficientRow, cli
+
+assert False, "-O is not in effect"
+coefficient_row = cli.coefficients.coefficient_row
+
+
+def off_by_one(k):
+    row = coefficient_row(k)
+    if k != 3:
+        return row
+    return CoefficientRow(k, (*row.values[:2], row.values[2] + 1, *row.values[3:]))
+
+
+cli.coefficients.coefficient_row = off_by_one
+sys.exit(cli.run(["verify", "combinatorics", "--max", "4"]))
+"""
+
+
+def test_verify_combinatorics_fails_under_optimize():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", PLANT_AND_VERIFY_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 1, result.stderr
+    lines = result.stdout.splitlines()
+    assert "FAIL coefficient routes agree (0..4): (k,j)=(3,2)" in lines
+    assert lines[-1] == "result: FAIL"
+
+
 def test_verify_oracle_passes(capsys):
     code, out, err = invoke(["verify", "oracle", "--kmax", "2", "--n", "3"], capsys)
     assert code == 0

@@ -206,6 +206,14 @@ def test_weyl_dimension_matches_plain_product_on_sparse_labels(case):
     assert weyl_dimension(labels, n) == plain_weyl_dimension(labels, n)
 
 
+@settings(max_examples=200, deadline=None)
+@given(sparse_labels())
+def test_weyl_dimension_is_invariant_under_duality(case):
+    # The dual irrep has the reversed labels; the oracle measures one of each pair.
+    labels, n = case
+    assert weyl_dimension(labels[::-1], n) == weyl_dimension(labels, n)
+
+
 def test_weyl_dimension_validation():
     with pytest.raises(ValueError):
         weyl_dimension((1, 0), 3)
@@ -426,6 +434,41 @@ def test_stable_round_trip_on_random_labels(case):
     assert dynkin_to_stable(stable_to_dynkin(label, n), n) == label
 
 
+@settings(max_examples=200, deadline=None)
+@given(stable_labels_with_rank())
+def test_dual_labels_swap_the_stable_pair(case):
+    # The dual of [left, right] is [right, left]: the oracle swaps the pair
+    # it measured for a label instead of converting the reversed label.
+    label, n = case
+    labels = stable_to_dynkin(label, n)
+    assert dynkin_to_stable(labels[::-1], n) == StableLabel(label.right, label.left)
+
+
+def plain_dynkin_to_stable(labels, n):
+    """Centre all n + 1 parts; None when the centring shift is not integral."""
+    parts = _suffix_parts(labels, n)
+    shift, remainder = divmod(sum(parts), n + 1)
+    if remainder:
+        return None
+    centered = [p - shift for p in parts]
+    return (
+        tuple(p for p in centered if p > 0),
+        tuple(-p for p in reversed(centered) if p < 0),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_labels())
+def test_dynkin_to_stable_matches_plain_centring(case):
+    labels, n = case
+    expected = plain_dynkin_to_stable(labels, n)
+    if expected is None:
+        with pytest.raises(ValueError, match="not a weight of an adjoint tensor power"):
+            dynkin_to_stable(labels, n)
+    else:
+        assert dynkin_to_stable(labels, n) == expected
+
+
 @st.composite
 def stable_powers(draw):
     k = draw(st.integers(0, 4))
@@ -523,7 +566,10 @@ def test_miscounted_coefficient_is_caught(error, monkeypatch):
 def test_each_distinct_label_is_converted_once(monkeypatch):
     # Every label of power k - 1 recurs in power k for k >= 2, so the
     # distinct labels of powers 0..10 are those of power 10: 3,583 of
-    # the 7,118 labels the eleven powers hold between them.
+    # the 7,118 labels the eleven powers hold between them.  Each power
+    # is self-dual, and a label's dual (its reversal) reuses the label's
+    # measurement, so each dual pair is measured once: 139 of the 3,583
+    # labels are self-dual, and (3,583 + 139) / 2 = 1,861.
     calls = {"dynkin_to_stable": 0, "weyl_dimension": 0}
     for name in calls:
         def counted(labels, n, _inner=getattr(lie, name), _name=name):
@@ -533,8 +579,10 @@ def test_each_distinct_label_is_converted_once(monkeypatch):
         monkeypatch.setattr(lie, name, counted)
     report = verify_stable_decomposition(10, 19)
     assert report.passed
-    assert len(adjoint_power(10, 19)) == 3583
-    assert calls == {"dynkin_to_stable": 3583, "weyl_dimension": 3583}
+    power = adjoint_power(10, 19)
+    assert len(power) == 3583
+    assert sum(labels == labels[::-1] for labels in power) == 139
+    assert calls == {"dynkin_to_stable": 1861, "weyl_dimension": 1861}
 
 
 def test_verify_report_payload():

@@ -31,6 +31,18 @@ def test_module_public_names_are_exported(module):
     assert sorted(adjoint_powers.__all__) == sorted(set(names))
 
 
+def test_no_module_has_an_assert_statement():
+    # ``python -O`` strips assert statements, so a check made with one
+    # would pass silently there; the package raises explicitly instead.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "adjoint_powers").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements: {found}"
+
+
 def test_benchmark_traced_attributes_resolve():
     # The traced benchmark run wraps each (module, attribute) of
     # perfbench/run.py's TRACED with getattr/setattr; a name the package
