@@ -16,12 +16,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from . import coefficients, combinatorics, lie
 from .combinatorics import ExactDivisionError
 # canonical_json is unused here, but kept bound: perfbench/run.py traces cli.canonical_json.
-from .serialize import canonical_json, iterencode
+from .serialize import _join_pieces, canonical_json, iterencode
 
 TABLE_FORMATS = ("markdown", "csv", "json")
 REPORT_FORMATS = ("text", "json")
@@ -30,10 +30,12 @@ REPORT_FORMATS = ("text", "json")
 # under about 1 GB (Python 3.11.7, 2-vCPU Xeon VM; CHANGES.md has the
 # measurements).  Anything larger exits 2 before any work is done.
 #: Largest ``table euler|higher --max``: (max+1)(max+2)/2 big integers, made and
-#: printed one row at a time, so time, not memory, sets it.
-TABLE_LIMIT = 750
-#: Largest ``table derangement --max``: one column, so far longer than the triangles.
-DERANGEMENT_TABLE_LIMIT = 5000
+#: printed one row at a time, so time, not memory, sets it.  ``table euler
+#: --max 1100 --format json``, the slowest, prints 1.1 GB in about 8.5 s.
+TABLE_LIMIT = 1100
+#: Largest ``table derangement --max``: one column, so far longer than the
+#: triangles.  ``--format json``, the slowest, prints 730 MB in about 7.5 s.
+DERANGEMENT_TABLE_LIMIT = 20000
 #: Largest ``coeffs --k``: rows 0..k of the higher derangements, O(k^2) big-integer steps.
 COEFFS_K_LIMIT = 3000
 #: Largest ``coeffs --upto``: streamed row by row like the tables.
@@ -42,8 +44,9 @@ COEFFS_UPTO_LIMIT = 850
 SERIES_K_LIMIT = 1000
 #: Largest ``series --order``.
 SERIES_ORDER_LIMIT = 2500
-#: Largest ``verify combinatorics --max``.
-COMBINATORICS_LIMIT = 100
+#: Largest ``verify combinatorics --max``: the closed-form and contraction
+#: routes sum O(max) products per entry, O(max^3) big-integer steps in all.
+COMBINATORICS_LIMIT = 300
 #: Largest ``verify oracle --kmax``: the irreps roughly double with each power.
 ORACLE_KMAX_LIMIT = 14
 #: Largest ``verify oracle --n``: Weyl products and label copies grow with the rank.
@@ -110,15 +113,20 @@ def _require_at_most(limit: int, **values: int) -> None:
 
 def _print_rows(fmt: str, header: list[str], rows) -> None:
     """Print a table one row at a time: markdown under its header, or CSV
-    without one.  No whole-table string is built."""
+    without one.  Each row is an iterable of cell strings, written in
+    pieces of a few cells, so neither the table nor a row is built whole."""
     if fmt == "csv":
         for cells in rows:
-            print(",".join(cells))
+            _print_row("", ",", cells, "\n")
         return
-    print("| " + " | ".join(header) + " |")
+    _print_row("| ", " | ", header, " |\n")
     print("|" + "|".join(" --- " for _ in header) + "|")
     for cells in rows:
-        print("| " + " | ".join(cells) + " |")
+        _print_row("| ", " | ", cells, " |\n")
+
+
+def _print_row(opener: str, separator: str, cells, closer: str) -> None:
+    sys.stdout.writelines(chain((opener,), _join_pieces(separator, cells), (closer,)))
 
 
 def _print_json(payload) -> None:
@@ -128,29 +136,55 @@ def _print_json(payload) -> None:
     print()
 
 
+def _exact_context():
+    """A ``decimal`` context in which integer arithmetic cannot round: the
+    largest precision and exponent range, with every signal of a rounded,
+    invalid or overflowing result trapped."""
+    from decimal import (
+        MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero, Inexact, InvalidOperation,
+        Overflow, Rounded,
+    )
+
+    traps = [Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow]
+    return Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=traps)
+
+
 def _cmd_table(args) -> int:
+    """Print a table from its row kernel run on ``Decimal``: the kernels
+    only add, subtract and multiply by small ints, which the exact context
+    never rounds, and a ``Decimal`` prints in time linear in its digits,
+    where an ``int`` takes quadratic time."""
     _require_nonnegative(max=args.max)
     limit = DERANGEMENT_TABLE_LIMIT if args.which == "derangement" else TABLE_LIMIT
     _require_at_most(limit, max=args.max)
+    from decimal import Decimal, localcontext
+
+    # The rows are drawn lazily while they print, so they print inside the context.
+    with localcontext(_exact_context()):
+        _print_table(args, Decimal(1))
+    return 0
+
+
+def _print_table(args, one) -> None:
     if args.which == "derangement":
-        values = map(str, islice(combinatorics.derangement_numbers(), args.max + 1))
+        values = map(str, islice(combinatorics._derangement_numbers(one), args.max + 1))
         if args.format == "json":
             _print_json({"max_index": args.max, "values": values})
         else:
-            rows = ([str(k), value] for k, value in enumerate(values))
+            rows = ((str(k), value) for k, value in enumerate(values))
             _print_rows(args.format, ["k", "derangements"], rows)
-        return 0
+        return
     if args.which == "euler":
-        rows, index, column = combinatorics.euler_rows(args.max), "k", "j"
+        rows, index, column = combinatorics._euler_rows(args.max, one), "k", "j"
     else:
-        rows, index, column = combinatorics.higher_derangement_rows(args.max), "n", "k"
+        rows, index, column = combinatorics._higher_derangement_rows(args.max, one), "n", "k"
     if args.format == "json":
-        entries = ({index: i, "entries": [str(v) for v in row]} for i, row in enumerate(rows))
+        entries = ({index: i, "entries": map(str, row)} for i, row in enumerate(rows))
         _print_json({"max_index": args.max, "rows": entries})
     else:
         header = [index] + [f"{column}={j}" for j in range(args.max + 1)]
-        _print_rows(args.format, header, ([str(i), *map(str, row)] for i, row in enumerate(rows)))
-    return 0
+        cells = (chain((str(i),), map(str, row)) for i, row in enumerate(rows))
+        _print_rows(args.format, header, cells)
 
 
 def _cmd_coeffs(args) -> int:
@@ -171,11 +205,12 @@ def _cmd_coeffs(args) -> int:
     _require_at_most(COEFFS_UPTO_LIMIT, upto=args.upto)
     rows = coefficients.decomposition_rows(args.upto)
     if args.format == "json":
-        entries = ({"k": row.power, "coefficients": [str(v) for v in row.values]} for row in rows)
+        entries = ({"k": row.power, "coefficients": map(str, row.values)} for row in rows)
         _print_json({"max_power": args.upto, "rows": entries})
     else:
         header = ["k"] + [f"j={j}" for j in range(args.upto + 1)]
-        _print_rows(args.format, header, ([str(row.power), *map(str, row.values)] for row in rows))
+        cells = (chain((str(row.power),), map(str, row.values)) for row in rows)
+        _print_rows(args.format, header, cells)
     return 0
 
 
@@ -211,12 +246,10 @@ def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
             checks.append((name, True, ""))
 
     def derangement_routes() -> None:
-        table = combinatorics.euler_table(limit)
-        for k in range(limit + 1):
+        for k, row in enumerate(combinatorics.euler_rows(limit)):
             adjacent = combinatorics.derangement(k, "adjacent")
             alternating = combinatorics.derangement(k, "alternating")
-            column = table.entry(k, 0)
-            if not adjacent == alternating == column:
+            if not adjacent == alternating == row[0]:
                 raise AssertionError(f"k={k}")
 
     def enumeration() -> None:
@@ -225,27 +258,41 @@ def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
                 raise AssertionError(f"k={k}")
 
     def divisibility() -> None:
-        table = combinatorics.euler_table(limit)
-        for k in range(limit + 1):
-            for j in range(k + 1):
-                if table.entry(k, j) % combinatorics.factorial(j):
+        factorials = [combinatorics.factorial(j) for j in range(limit + 1)]
+        for k, row in enumerate(combinatorics.euler_rows(limit)):
+            for j, entry in enumerate(row):
+                if entry % factorials[j]:
                     raise AssertionError(f"(k,j)=({k},{j})")
 
+    # Each route below builds its own whole table in one pass, through the
+    # body its per-entry function uses, and reads no other route's table.
+    def table_route(max_index: int):
+        """Rows of the ``table`` route: the difference table divided by k!."""
+        return map(combinatorics._table_route_row, combinatorics.euler_rows(max_index))
+
+    def derangement_list(max_index: int) -> list[int]:
+        return list(islice(combinatorics.derangement_numbers(), max_index + 1))
+
+    def binomial_rows(max_index: int) -> list[list[int]]:
+        return [combinatorics._binomial_row(k) for k in range(max_index + 1)]
+
     def higher_routes() -> None:
-        rows = combinatorics.higher_derangement_rows(limit)  # what ``table higher`` prints
-        for n, row in zip(range(limit + 1), rows, strict=True):
-            for k, printed in zip(range(n + 1), row, strict=True):
-                table = combinatorics.higher_derangement(n, k, "table")
-                recurrence = combinatorics.higher_derangement(n, k, "recurrence")
-                closed = combinatorics.higher_derangement(n, k, "closed_form")
+        printed_rows = combinatorics.higher_derangement_rows(limit)  # what ``table higher`` prints
+        columns = list(combinatorics._recurrence_columns(limit))
+        binomials, derangements = binomial_rows(limit), derangement_list(limit)
+        rows = zip(range(limit + 1), printed_rows, table_route(limit), strict=True)
+        for n, printed_row, table_row in rows:
+            for k, printed, table in zip(range(n + 1), printed_row, table_row, strict=True):
+                recurrence = columns[k][n]
+                closed = combinatorics._closed_form(n, binomials[k], derangements)
                 if not table == recurrence == closed == printed:
                     raise AssertionError(f"(n,k)=({n},{k})")
 
     def higher_laws() -> None:
-        for n in range(limit + 1):
-            if combinatorics.higher_derangement(n, n) != 1:
+        for n, row in enumerate(table_route(limit)):
+            if row[n] != 1:
                 raise AssertionError(f"diagonal n={n}")
-            if n >= 1 and combinatorics.higher_derangement(n, n - 1) != n - 1:
+            if n >= 1 and row[n - 1] != n - 1:
                 raise AssertionError(f"subdiagonal n={n}")
 
     def series_consistency() -> None:
@@ -259,14 +306,20 @@ def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
     def coefficient_routes() -> None:
         if limit < 1:
             return
-        table = coefficients.decomposition_table(limit)
-        for k in range(1, limit + 1):
-            row = table.row(k).values
+        binomials, derangements = binomial_rows(limit), derangement_list(limit)
+        rows = zip(
+            range(1, limit + 1),
+            coefficients.decomposition_rows(limit),
+            islice(table_route(limit), 1, None),
+            strict=True,
+        )
+        for k, recurrence_row, table_row in rows:
+            closed_row = coefficients._closed_form_row(k, table_row)
             printed = coefficients.coefficient_row(k).values  # what ``coeffs --k`` prints
-            for j, value in zip(range(k + 1), printed, strict=True):
-                closed = coefficients.coefficient(k, j)
-                contraction = coefficients.coefficient_by_contraction(k, j)
-                if not closed == contraction == row[j] == value:
+            entries = zip(range(k + 1), printed, closed_row, recurrence_row.values, strict=True)
+            for j, value, closed, recurrence in entries:
+                contraction = coefficients._contraction(k, binomials[j], derangements)
+                if not closed == contraction == recurrence == value:
                     raise AssertionError(f"(k,j)=({k},{j})")
 
     record(f"derangement routes agree (0..{limit})", derangement_routes)

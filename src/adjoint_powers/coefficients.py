@@ -15,6 +15,9 @@ power k is computed by three independent routes:
 All three must agree entry for entry; every division is exact and
 checked.  :func:`coefficient_row` computes the same closed form for a
 whole row from :func:`higher_derangement_rows`, which ``table higher`` prints.
+The closed form and the contraction count each have one body,
+:func:`_closed_form_row` and :func:`_contraction`, which the whole-table
+sweep of ``verify combinatorics`` shares with the functions here.
 """
 
 from __future__ import annotations
@@ -22,14 +25,16 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import islice
+from operator import mul
 
 from .combinatorics import (
+    _binomial_row,
+    _table_route_row,
     binomial,
-    derangement,
     derangement_numbers,
+    euler_table,
     exact_div,
     factorial,
-    higher_derangement,
     higher_derangement_rows,
 )
 
@@ -67,10 +72,17 @@ class DecompositionTable(namedtuple("DecompositionTable", ["max_power", "rows"])
 
 
 def coefficient(k: int, j: int) -> int:
-    """Block coefficient by the closed form C(k, j) * d_k^j."""
+    """Block coefficient by the closed form C(k, j) * d_k^j, with d_k^j by
+    the ``table`` route of :func:`higher_derangement`."""
     if k < 0 or j < 0 or j > k:
         raise ValueError(f"coefficient requires 0 <= j <= k, got ({k}, {j})")
-    return binomial(k, j) * higher_derangement(k, j)
+    return _closed_form_row(k, _table_route_row(euler_table(k).row(k)))[j]
+
+
+def _closed_form_row(k: int, higher_row: tuple[int, ...]) -> tuple[int, ...]:
+    """The closed form, one whole row: C(k, j) * d_k^j for j = 0..k, from
+    row k of the higher derangements."""
+    return tuple(binomial(k, j) * d for j, d in enumerate(higher_row))
 
 
 def coefficient_by_contraction(k: int, p: int) -> int:
@@ -83,7 +95,15 @@ def coefficient_by_contraction(k: int, p: int) -> int:
     """
     if k < 0 or p < 0 or p > k:
         raise ValueError(f"coefficient requires 0 <= p <= k, got ({k}, {p})")
-    total = sum(binomial(p, l) * derangement(k - l) for l in range(p + 1))
+    return _contraction(k, _binomial_row(p), list(islice(derangement_numbers(), k + 1)))
+
+
+def _contraction(k: int, binomials: list[int], derangements: list[int]) -> int:
+    """The contraction count, one entry: C(k, p) (1/p!) sum_l C(p, l) d_{k-l},
+    where ``binomials`` is the row C(p, 0..p) and ``derangements`` holds
+    d_0..d_k (or more)."""
+    p = len(binomials) - 1
+    total = sum(map(mul, binomials, reversed(derangements[k - p : k + 1])))
     return binomial(k, p) * exact_div(total, factorial(p))
 
 
@@ -98,7 +118,7 @@ def coefficient_row(k: int) -> CoefficientRow:
         raise ValueError("coefficient_row requires k >= 0")
     for row in higher_derangement_rows(k):
         pass
-    return CoefficientRow(k, tuple(binomial(k, j) * d for j, d in enumerate(row)))
+    return CoefficientRow(k, _closed_form_row(k, row))
 
 
 def decomposition_table(max_power: int) -> DecompositionTable:

@@ -1,22 +1,35 @@
 """Exact integer combinatorics built around Euler's difference table.
 
-Everything here is arbitrary-precision: integers are plain Python ``int``,
-rationals are ``fractions.Fraction``, imported by :func:`egf_coefficients`,
-the one function that builds them.  The central objects are the
-triangular difference table ``e[k][j]`` (diagonal ``j!``, backward
-difference recurrence), the derangement numbers it produces in its first
-column, and the integer refinement ``d[n][k] = e[n][k] / k!``, which has a
-recurrence of its own and is built without dividing.  Every division that
-must come out even goes through :func:`exact_div`, which refuses to round.
+Everything here is arbitrary-precision: every public function returns
+plain Python ``int`` integers, and rationals are ``fractions.Fraction``,
+imported by :func:`egf_coefficients`, the one function that builds them.
+The central objects are the triangular difference table ``e[k][j]``
+(diagonal ``j!``, backward difference recurrence), the derangement
+numbers it produces in its first column, and the integer refinement
+``d[n][k] = e[n][k] / k!``, which has a recurrence of its own and is
+built without dividing.  Every division that must come out even goes
+through :func:`exact_div`, which refuses to round.
+
+The three row kernels behind ``table`` (the difference table, the
+higher derangements and the derangement column) add, subtract and
+multiply by small integers only, so each has one body generic over its
+number type, given by its unit ``one``.  The library runs them on ``int``;
+the CLI runs them on ``decimal.Decimal`` in an exact context, whose
+str() is linear in the digits where int's is quadratic.
+
+Each route of the higher derangements (and of the coefficients) has one
+body, shared by its per-entry function and by the whole-table sweeps of
+``verify combinatorics``: :func:`_table_route_row`,
+:func:`_recurrence_columns` and :func:`_closed_form` here.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import count, islice, permutations
+from itertools import accumulate, count, islice, permutations
 import math
-from operator import eq
+from operator import eq, mul
 
 __all__ = [
     "ENUMERATION_LIMIT",
@@ -78,6 +91,11 @@ def binomial(k: int, j: int) -> int:
     return math.comb(k, j)
 
 
+def _binomial_row(k: int) -> list[int]:
+    """C(k, 0), C(k, 1), ..., C(k, k)."""
+    return [binomial(k, j) for j in range(k + 1)]
+
+
 class EulerTable(namedtuple("EulerTable", ["max_index", "entries"])):
     """Triangular difference table with entries ``e[k][j]`` for 0 <= j <= k.
 
@@ -115,14 +133,18 @@ def euler_rows(max_index: int) -> Iterator[tuple[int, ...]]:
     """
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
-    return _euler_rows(max_index)
+    return _euler_rows(max_index, 1)
 
 
-def _euler_rows(max_index: int) -> Iterator[tuple[int, ...]]:
-    previous: tuple[int, ...] = ()
+def _euler_rows(max_index: int, one) -> Iterator[tuple]:
+    """The body of :func:`euler_rows`, in the number type of ``one``; k! is
+    a running product."""
+    previous: tuple = ()
+    diagonal = one
     for k in range(max_index + 1):
-        row = [0] * (k + 1)
-        row[k] = factorial(k)
+        if k:
+            diagonal *= k
+        row = [diagonal] * (k + 1)
         for j in range(k - 1, -1, -1):
             row[j] = row[j + 1] - previous[j]
         previous = tuple(row)
@@ -157,7 +179,12 @@ def derangement(k: int, method: str = "adjacent") -> int:
 def derangement_numbers():
     """d_0, d_1, d_2, ... without end, in one pass of the adjacent
     recurrence d_k = (k-1) (d_{k-1} + d_{k-2})."""
-    prev, curr = 1, 0  # d_0, d_1
+    return _derangement_numbers(1)
+
+
+def _derangement_numbers(one) -> Iterator:
+    """The body of :func:`derangement_numbers`, in the number type of ``one``."""
+    prev, curr = one, one - one  # d_0, d_1
     yield prev
     for i in count(2):
         yield curr
@@ -191,27 +218,55 @@ def higher_derangement(n: int, k: int, method: str = "table") -> int:
     * ``table``:       e_n^k / k!  (division exact by construction)
     * ``recurrence``:  d_n^k = (d_n^{k-1} + d_{n-1}^{k-1}) / k, iterated in k
     * ``closed_form``: d_n^k = (1/k!) sum_j C(k, j) d_{n-j}
+
+    Each route's body is shared with the whole-table sweeps of ``verify
+    combinatorics``: :func:`_table_route_row`, :func:`_recurrence_columns`
+    and :func:`_closed_form`.
     """
     if n < 0 or k < 0:
         raise ValueError("higher_derangement requires n, k >= 0")
     if k > n:
         raise ValueError(f"higher_derangement requires k <= n, got ({n}, {k})")
     if method == "table":
-        return exact_div(euler_table(n).entry(n, k), factorial(k))
+        return _table_route_row(euler_table(n).row(n))[k]
     if method == "recurrence":
-        column = list(islice(derangement_numbers(), n + 1))  # d_i^0 = d_i
-        for j in range(1, k + 1):
-            column = [0] * j + [
-                exact_div(column[i] + column[i - 1], j) for i in range(j, n + 1)
-            ]
-        return column[n]
+        return next(islice(_recurrence_columns(n), k, None))[n]
     if method == "closed_form":
-        total = sum(binomial(k, j) * derangement(n - j) for j in range(k + 1))
-        return exact_div(total, factorial(k))
+        return _closed_form(n, _binomial_row(k), list(islice(derangement_numbers(), n + 1)))
     raise ValueError(
         f"unknown higher_derangement method {method!r}; "
         f"expected one of {HIGHER_DERANGEMENT_METHODS}"
     )
+
+
+def _table_route_row(euler_row: tuple[int, ...]) -> tuple[int, ...]:
+    """Route ``table``, one whole row: d_n^k = e_n^k / k! for k = 0..n, from
+    row n of the difference table."""
+    factorials = accumulate(range(1, len(euler_row)), mul, initial=1)
+    return tuple(map(exact_div, euler_row, factorials))
+
+
+def _recurrence_columns(max_index: int) -> Iterator[list[int]]:
+    """Route ``recurrence``, column by column: column k lists d_n^k for
+    n = 0..max_index (0 above the diagonal, n < k), each column from the
+    one before by d_n^k = (d_n^{k-1} + d_{n-1}^{k-1}) / k.  Column 0 is
+    the derangement numbers."""
+    column = list(islice(derangement_numbers(), max_index + 1))
+    yield column
+    for k in range(1, max_index + 1):
+        column = [0] * k + [
+            exact_div(column[n] + column[n - 1], k) for n in range(k, max_index + 1)
+        ]
+        yield column
+
+
+def _closed_form(n: int, binomials: list[int], derangements: list[int]) -> int:
+    """Route ``closed_form``, one entry: d_n^k = (1/k!) sum_j C(k, j) d_{n-j},
+    where ``binomials`` is the row C(k, 0..k) and ``derangements`` holds
+    d_0..d_n (or more)."""
+    k = len(binomials) - 1
+    total = sum(map(mul, binomials, reversed(derangements[n - k : n + 1])))
+    return exact_div(total, factorial(k))
 
 
 class HigherDerangementTable(namedtuple("HigherDerangementTable", ["max_index", "entries"])):
@@ -251,13 +306,14 @@ def higher_derangement_rows(max_index: int) -> Iterator[tuple[int, ...]]:
     """
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
-    return _higher_derangement_rows(max_index)
+    return _higher_derangement_rows(max_index, 1)
 
 
-def _higher_derangement_rows(max_index: int) -> Iterator[tuple[int, ...]]:
-    previous: tuple[int, ...] = ()
+def _higher_derangement_rows(max_index: int, one) -> Iterator[tuple]:
+    """The body of :func:`higher_derangement_rows`, in the number type of ``one``."""
+    previous: tuple = ()
     for n in range(max_index + 1):
-        row = [1] * (n + 1)
+        row = [one] * (n + 1)
         for k in range(n - 1, -1, -1):
             row[k] = (k + 1) * row[k + 1] - previous[k]
         previous = tuple(row)

@@ -9,14 +9,16 @@ One encoder produces that layout.  :func:`iterencode` yields the text
 piece by piece, so a table whose rows come from a generator is written
 as the rows are made and never held whole; :func:`canonical_json` joins
 the same pieces into one string.  The standard library's encoder drops
-to pure Python whenever ``indent`` is set; this one does too, but
-encodes a list of strings with one ``join`` over the C string encoder.
+to pure Python whenever ``indent`` is set; this one does too, but joins
+each run of up to :data:`_CHUNK` strings in a list, drawn from a list or
+a generator alike, into one piece through the C string encoder.  So a
+long row of strings is written in bounded pieces, and never held whole.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from itertools import repeat
+from collections.abc import Iterable, Iterator
+from itertools import islice
 
 # The C string encoder, without loading the json package; json.encoder
 # binds the same function when the C module is present.
@@ -28,7 +30,19 @@ except ImportError:
 __all__ = ["canonical_json", "iterencode"]
 
 INDENT = "  "
-_EMPTY = object()
+#: Strings joined per piece, in a JSON list and in :func:`_join_pieces`.
+_CHUNK = 32
+
+
+def _join_pieces(separator: str, items: Iterable[str]) -> Iterator[str]:
+    """Yield ``separator.join(items)`` in pieces of at most :data:`_CHUNK`
+    items each, every piece after the first led by ``separator``: the
+    text of a long row without ever holding it whole."""
+    items = iter(items)
+    lead = ""
+    while chunk := list(islice(items, _CHUNK)):
+        yield lead + separator.join(chunk)
+        lead = separator
 
 
 def canonical_json(payload: object) -> str:
@@ -81,22 +95,32 @@ def _encode_dict(value: dict, newline: str) -> Iterator[str]:
 
 
 def _encode_list(value: object, newline: str) -> Iterator[str]:
-    inner = newline + INDENT
-    separator = "," + inner
-    if isinstance(value, (list, tuple)) and value and all(map(isinstance, value, repeat(str))):
-        yield "[" + inner + separator.join(map(encode_basestring_ascii, value)) + newline + "]"
-        return
+    """Items are drawn one at a time.  A run of strings is joined into one
+    piece per :data:`_CHUNK` of them; any other item is encoded as drawn."""
     try:
         items = iter(value)
     except TypeError:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable") from None
-    first = next(items, _EMPTY)
-    if first is _EMPTY:
+    inner = newline + INDENT
+    separator = "," + inner
+    lead = opener = "[" + inner
+    strings: list[str] = []
+    for item in items:
+        if isinstance(item, str):
+            strings.append(encode_basestring_ascii(item))
+            if len(strings) == _CHUNK:
+                yield lead + separator.join(strings)
+                lead, strings = separator, []
+            continue
+        if strings:
+            yield lead + separator.join(strings)
+            lead, strings = separator, []
+        yield lead
+        lead = separator
+        yield from _encode(item, inner)
+    if strings:
+        yield lead + separator.join(strings)
+    elif lead is opener:
         yield "[]"
         return
-    yield "[" + inner
-    yield from _encode(first, inner)
-    for item in items:
-        yield separator
-        yield from _encode(item, inner)
     yield newline + "]"

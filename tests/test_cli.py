@@ -1,14 +1,18 @@
 """CLI contract: exact output, formats, exit codes, JSON round trips."""
 
+import decimal
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from decimal import Decimal, Inexact, localcontext
+from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adjoint_powers import (
     CoefficientRow,
@@ -17,9 +21,12 @@ from adjoint_powers import (
     coefficient,
     decomposition_table,
     derangement,
+    derangement_numbers,
+    euler_rows,
     euler_table,
+    higher_derangement_rows,
 )
-from adjoint_powers import cli
+from adjoint_powers import cli, combinatorics
 from adjoint_powers.cli import run
 
 
@@ -55,6 +62,53 @@ def test_table_higher_markdown(capsys):
     code, out, _ = invoke(["table", "higher", "--max", "4"], capsys)
     assert code == 0
     assert "| 4 | 9 | 11 | 7 | 3 | 1 |" in out.splitlines()
+
+
+def printed(rows):
+    return [list(map(str, row)) for row in rows]
+
+
+# The tables print the kernels' Decimal rows: every digit must be the int's.
+@settings(max_examples=25, deadline=None)
+@given(size=st.integers(0, 80))
+def test_decimal_rows_print_as_the_int_rows(size):
+    with localcontext(cli._exact_context()):
+        one = Decimal(1)
+        assert printed(combinatorics._euler_rows(size, one)) == printed(euler_rows(size))
+        assert printed(combinatorics._higher_derangement_rows(size, one)) == printed(
+            higher_derangement_rows(size)
+        )
+        derangements = islice(combinatorics._derangement_numbers(one), size + 1)
+        assert list(map(str, derangements)) == list(
+            map(str, islice(derangement_numbers(), size + 1))
+        )
+
+
+def test_exact_context_traps_every_rounding():
+    # Under MAX_PREC an inexact quotient such as Decimal(1) / 3 is never
+    # reached: libmpdec fails to allocate its MAX_PREC digits first
+    # (MemoryError), so rounding is provoked without a division here.
+    context = cli._exact_context()
+    assert context.prec == decimal.MAX_PREC
+    assert (context.Emax, context.Emin) == (decimal.MAX_EMAX, decimal.MIN_EMIN)
+    with localcontext(context):
+        with pytest.raises(Inexact):
+            Decimal("0.5").to_integral_exact()
+        with pytest.raises(decimal.Rounded):
+            Decimal("2.0").quantize(Decimal(1))  # rounds off a zero: exact, yet Rounded
+        with pytest.raises(decimal.DivisionByZero):
+            Decimal(1) / 0
+        big = Decimal(10) ** 100_000
+        assert big * 7 - big == 6 * big  # integers of any size stay exact
+
+
+def test_table_command_leaves_the_decimal_context_as_it_was(capsys):
+    before = decimal.getcontext()
+    state = repr(before)
+    code, out, _ = invoke(["table", "higher", "--max", "30", "--format", "csv"], capsys)
+    assert code == 0 and out
+    assert decimal.getcontext() is before
+    assert repr(before) == state
 
 
 def test_coeffs_single_row_csv(capsys):
@@ -119,10 +173,11 @@ def test_verify_combinatorics_full_sweep(capsys):
 
 
 def test_verify_combinatorics_records_value_error_as_failure(capsys, monkeypatch):
-    def out_of_domain(n, k, method="table"):
-        raise ValueError(f"planted domain error at ({n}, {k})")
+    # The closed-form route's body, which the sweep calls once per entry.
+    def out_of_domain(n, binomials, derangements):
+        raise ValueError(f"planted domain error at ({n}, {len(binomials) - 1})")
 
-    monkeypatch.setattr("adjoint_powers.cli.combinatorics.higher_derangement", out_of_domain)
+    monkeypatch.setattr("adjoint_powers.cli.combinatorics._closed_form", out_of_domain)
     code, out, _ = invoke(["verify", "combinatorics", "--max", "4"], capsys)
     assert code == 1
     lines = out.splitlines()
@@ -143,6 +198,76 @@ def test_verify_combinatorics_checks_the_printed_higher_table(capsys, monkeypatc
     assert code == 1
     failures = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert failures == ["FAIL higher derangement routes agree (0..4): (n,k)=(3,1)"]
+
+
+def bump_table_route(original):
+    def planted(euler_row):
+        row = original(euler_row)
+        return (row[0], row[1] + 1, *row[2:]) if len(row) == 4 else row
+
+    return planted
+
+
+def bump_recurrence_route(original):
+    def planted(max_index):
+        for k, column in enumerate(original(max_index)):
+            yield [value + (k == 2 and n == 4) for n, value in enumerate(column)]
+
+    return planted
+
+
+def bump_closed_form(original):
+    def planted(n, binomials, derangements):
+        return original(n, binomials, derangements) + ((n, len(binomials) - 1) == (4, 3))
+
+    return planted
+
+
+def bump_contraction(original):
+    def planted(k, binomials, derangements):
+        return original(k, binomials, derangements) + ((k, len(binomials) - 1) == (4, 2))
+
+    return planted
+
+
+# (module, route body, planted wrong entry, FAIL lines of ``verify combinatorics --max 4``).
+# The table route also feeds the series check and the closed-form coefficients.
+PLANTED_ROUTES = [
+    pytest.param(
+        "combinatorics", "_table_route_row", bump_table_route,
+        [
+            "FAIL higher derangement routes agree (0..4): (n,k)=(3,1)",
+            "FAIL series coefficients match higher derangements (k<=min(4,8), m<=20): (k,m)=(1,2)",
+            "FAIL coefficient routes agree (0..4): (k,j)=(3,1)",
+        ],
+        id="table",
+    ),
+    pytest.param(
+        "combinatorics", "_recurrence_columns", bump_recurrence_route,
+        ["FAIL higher derangement routes agree (0..4): (n,k)=(4,2)"],
+        id="recurrence",
+    ),
+    pytest.param(
+        "combinatorics", "_closed_form", bump_closed_form,
+        ["FAIL higher derangement routes agree (0..4): (n,k)=(4,3)"],
+        id="closed_form",
+    ),
+    pytest.param(
+        "coefficients", "_contraction", bump_contraction,
+        ["FAIL coefficient routes agree (0..4): (k,j)=(4,2)"],
+        id="contraction",
+    ),
+]
+
+
+@pytest.mark.parametrize("module,name,plant,failures", PLANTED_ROUTES)
+def test_planted_wrong_entry_fails_its_route(module, name, plant, failures, capsys, monkeypatch):
+    # Every route's whole-table sweep is compared entry by entry.
+    owner = getattr(cli, module)
+    monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
+    code, out, _ = invoke(["verify", "combinatorics", "--max", "4"], capsys)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == failures
 
 
 def test_verify_combinatorics_checks_the_printed_coefficient_row(capsys, monkeypatch):
@@ -297,12 +422,13 @@ def test_streamed_json_matches_json_dumps_at_scale(capsys):
     assert out == json.dumps(reference, indent=2, sort_keys=True) + "\n"
 
 
-# (command, row generator it draws from, module attribute, text of its first row)
+# (command, row generator it draws from, module attribute, text of its first row);
+# the table commands draw from the kernels' bodies, run on Decimal.
 STREAMED_COMMANDS = [
-    ("table euler --max 4 --format json", "combinatorics", "euler_rows", '"k": 0\n    }'),
-    ("table higher --max 4 --format json", "combinatorics", "higher_derangement_rows", '"n": 0\n    }'),
+    ("table euler --max 4 --format json", "combinatorics", "_euler_rows", '"k": 0\n    }'),
+    ("table higher --max 4 --format json", "combinatorics", "_higher_derangement_rows", '"n": 0\n    }'),
     ("coeffs --upto 5 --format json", "coefficients", "decomposition_rows", '"k": 1\n    }'),
-    ("table euler --max 4 --format csv", "combinatorics", "euler_rows", "0,1\n"),
+    ("table euler --max 4 --format csv", "combinatorics", "_euler_rows", "0,1\n"),
     ("coeffs --upto 5 --format markdown", "coefficients", "decomposition_rows", "| 1 | 0 | 1 |\n"),
 ]
 
@@ -315,8 +441,8 @@ def test_rows_are_written_before_the_last_is_drawn(command, module, name, first_
     written_before = {}
     rows = getattr(getattr(cli, module), name)
 
-    def counting_rows(size):
-        source = rows(size)
+    def counting_rows(*args):
+        source = rows(*args)
 
         def draw():
             for count, row in enumerate(source, start=1):
@@ -469,6 +595,11 @@ GOLDEN_DIGESTS = [
     ("table euler --max 0 --format markdown", 0, "89375b54d35ed5b69e489616fd452c415082878f74be4d85cf3258766e6a97a4"),
     ("table euler --max 0 --format csv", 0, "8d66c089414bb76bc2ee5c11465c93257821752b4e08be4f1d70737b9fa10f0c"),
     ("table euler --max 0 --format json", 0, "a61fe1b9d00b2bda3d9cc5c953c3c416faddc06184c9b4bb47ced2cbb52b2a38"),
+    # Values above CPython's 4,300-digit int-to-str default, and rows of
+    # 122 and 151 cells, across several of the writers' 32-cell pieces.
+    ("table derangement --max 2000 --format csv", 0, "99b1e0505609fef3b4c01f3b3d75c40642da6095ae1491157f465745e583fc80"),
+    ("table euler --max 120 --format markdown", 0, "92c7237f7bc0bc72b7db1a318cb6086d638376b66a76f89da32104a80c3955f5"),
+    ("table higher --max 150 --format json", 0, "990d7c7d576bee2a36fe8d6c7b98e2854266ccfeb920075b11f0ae0395d4816a"),
 ]
 
 

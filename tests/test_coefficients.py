@@ -11,6 +11,7 @@ from adjoint_powers import (
     decomposition_rows,
     decomposition_table,
     derangement,
+    derangement_numbers,
 )
 from adjoint_powers import coefficients
 from adjoint_powers.cli import run
@@ -144,11 +145,15 @@ def test_decomposition_rows_validate_at_the_call():
 
 
 def test_recurrence_seeds_every_row_from_one_derangement_pass(monkeypatch):
-    def refused(k, method="adjacent"):
-        raise AssertionError(f"derangement({k}) recomputed from d_0")
+    passes = []
 
-    monkeypatch.setattr(coefficients, "derangement", refused)
+    def counted():
+        passes.append(len(passes))
+        return derangement_numbers()
+
+    monkeypatch.setattr(coefficients, "derangement_numbers", counted)
     table = decomposition_table(10)
+    assert passes == [0]
     assert {row.power: row.values for row in table.rows} == GOLDEN_ROWS
 
 

@@ -60,8 +60,9 @@ def test_benchmark_traced_attributes_resolve():
 
 # Modules a command does not need: dataclasses and what it pulls in
 # (inspect, ast, dis, tokenize), fractions with decimal (only ``series``
-# builds a Fraction, inside egf_coefficients), and the json package (the
-# encoder uses the C string encoder from _json).
+# builds a Fraction, inside egf_coefficients, and only the ``table``
+# commands print through Decimal), and the json package (the encoder
+# uses the C string encoder from _json).
 NOT_IMPORTED_BY_CLI = {
     "dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "json",
 }
@@ -81,6 +82,33 @@ def test_cli_import_adds_none_of_the_unneeded_modules():
     added = set(result.stdout.split())
     assert "adjoint_powers.cli" in added
     assert not added & NOT_IMPORTED_BY_CLI, sorted(added & NOT_IMPORTED_BY_CLI)
+
+
+# Runs one command in a fresh interpreter and reports whether it loaded decimal.
+RUN_AND_REPORT_DECIMAL = (
+    "import sys; baseline = set(sys.modules); from adjoint_powers import cli; "
+    "code = cli.run(sys.argv[1:]); sys.stdout.flush(); "
+    "sys.stderr.write(str('decimal' in set(sys.modules) - baseline)); sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "command,loads",
+    [
+        # The benchmark's set-up command and the oracle keep their start-up and memory.
+        ("coeffs --k 1 --format csv", False),
+        ("verify oracle --kmax 2 --n 3", False),
+        # The check itself sees a load where there is one.
+        ("table euler --max 3 --format csv", True),
+    ],
+)
+def test_decimal_loads_only_for_the_tables(command, loads):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_AND_REPORT_DECIMAL, *command.split()],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert result.stderr.splitlines()[-1] == str(loads)
 
 
 FALSE_PROPERTY = '''

@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adjoint_powers.serialize import canonical_json, iterencode
+from adjoint_powers.serialize import _CHUNK, _join_pieces, canonical_json, iterencode
 
 
 class Streamed(list):
@@ -61,6 +61,30 @@ def test_encoder_matches_json_dumps(payload):
 )
 def test_empty_containers(payload):
     assert canonical_json(streamed(payload)) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+# A run of strings is joined _CHUNK (32) at a time: these lengths put the
+# last piece empty, single, short and full, across one and two boundaries.
+CHUNK_LENGTHS = [0, 1, 31, 32, 33, 64, 65]
+
+
+@pytest.mark.parametrize("length", CHUNK_LENGTHS)
+def test_string_lists_across_chunk_boundaries(length):
+    assert _CHUNK == 32
+    strings = [f'{i}"\\\n\u00e9' for i in range(length)]  # escapes and non-ASCII
+    mixed = [*strings[:32], None, *strings[32:], 7, "tail"]
+    for payload in (strings, tuple(strings), Streamed(strings), {"rows": [strings, Streamed(mixed)]}):
+        expected = json.dumps(payload, indent=2, sort_keys=True)
+        assert "".join(iterencode(streamed(payload))) == expected
+
+
+@pytest.mark.parametrize("length", CHUNK_LENGTHS)
+def test_joined_pieces_hold_at_most_one_chunk(length):
+    cells = [str(10**i) for i in range(length)]
+    pieces = list(_join_pieces(" | ", iter(cells)))
+    assert "".join(pieces) == " | ".join(cells)
+    assert len(pieces) == -(-length // _CHUNK)
+    assert all(piece.count(" | ") <= _CHUNK for piece in pieces)
 
 
 def test_generator_is_consumed_once_and_lazily():
