@@ -12,23 +12,31 @@ first power whose check fails.
 
 Weights are handled in (n+1)-entry integer coordinates defined up to a
 uniform shift; the canonical representative has minimum entry zero, so
-equality is plain tuple comparison.  Tensor steps always multiply by
-the adjoint, factored through V x V* = adjoint + trivial: Pieri's rule
-for the defining rep V adds a box to a row, Pieri's rule for its dual
+equality is plain tuple comparison.  Dynkin labels are tuples of n
+nonnegative ints or, while every entry stays below 254, bytes of
+length n: tensor_with_adjoint, weyl_dimension and dynkin_to_stable take
+either, and the oracle keeps its powers as bytes (52 bytes a label at
+n = 19, against 192 for a tuple).  Tensor steps always multiply by the
+adjoint, factored through V x V* = adjoint + trivial: Pieri's rule for
+the defining rep V adds a box to a row, Pieri's rule for its dual
 removes one, and the input state is subtracted once, so no weight is
-reflected to the dominant chamber.  Weyl dimensions and stable labels
-are both read from the runs of equal parts, one run per nonzero Dynkin
-label, so neither builds an (n+1)-vector.  A label and its dual (the
-reversed labels) share one measurement: the dual has the same dimension
-and the swapped stable pair, so at (10, 19) the certification measures
-1,861 of the 3,583 distinct labels.  The adjoint weight system is
-closed form (the (n+1)n root vectors plus the zero weight with
-multiplicity n); it and the Freudenthal recursion are kept as
+reflected to the dominant chamber.  Inside a step each label is packed
+into one int with a fixed-width field per Dynkin label, so a box move
+is one integer addition that no field carries out of, and the step
+returns keys of the type it was given.  Weyl dimensions and stable
+labels are both read from the runs of equal parts, one run per nonzero
+Dynkin label, so neither builds an (n+1)-vector.  A label and its dual
+(the reversed labels) share one measurement: the dual has the same
+dimension and the swapped stable pair, so at (10, 19) the certification
+measures 1,861 of the 3,583 distinct labels.  The adjoint weight
+system is closed form (the (n+1)n root vectors plus the zero weight
+with multiplicity n); it and the Freudenthal recursion are kept as
 independent cross-checks, not as part of the product path.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import namedtuple
 from itertools import chain, compress, permutations, repeat
@@ -59,6 +67,10 @@ __all__ = [
 
 Labels = tuple[int, ...]
 Weight = tuple[int, ...]
+
+#: (bytes, memoryview format) of the packed fields of the tensor step,
+#: narrowest first; each format reads a native unsigned int.
+_FIELDS = tuple((memoryview(bytes(8)).cast(f).itemsize, f) for f in "BHIQ")
 
 
 class BlockExtractionError(ArithmeticError):
@@ -269,60 +281,99 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
     dominant (j = n or a_j > 0).  Subtracting the input state once
     removes the trivial summand; a multiplicity that would go negative
     raises instead of being clamped.  No weight is reflected.
+
+    Labels are tuples of n nonnegative ints, or bytes of length n.  The
+    result is keyed by bytes when every input label is bytes, and by
+    tuples otherwise.  Inside the step a label is one int, packed by
+    int.from_bytes in the machine's byte order with one field per Dynkin
+    label, so a box move is one addition of a precomputed delta: a box
+    added to row p + 1 adds field(p + 1) - field(p), lowering a_p and
+    raising a_{p+1}.  No field carries into its neighbour.  A move lowers only a nonzero
+    field, so nothing borrows, and a step raises an entry by at most 2,
+    so fields as wide as the largest entry plus 2 never overflow: one
+    byte while every entry is <= 253, else 2, 4 or 8 bytes.  The rows a
+    move may touch are read in C, by compress over the key's bytes (a
+    memoryview cast of them for wider fields).  Keys are unpacked once,
+    at the end of the step.  A bytes label with an entry above 253, or
+    any label with an entry of 2**64 - 2 or more, raises ValueError,
+    since its result would not fit the label or the widest field.
     """
     _check_rank(n)
-    for labels, mult in state.items():
-        _check_labels(labels, n)
-        if mult <= 0:
-            raise ValueError(f"multiplicities must be positive, got {mult} for {labels}")
-    rows = range(n)
-    gained: dict[Labels, int] = {}
-    for labels, mult in state.items():
-        # Row 0 gains a box, and row p + 1 does below each nonzero a_p.
-        # Every key is copied from one list per input label, which each
-        # box move changes and then restores.
-        work = list(labels)
-        work[0] += 1
-        key = tuple(work)
-        gained[key] = gained.get(key, 0) + mult
-        work[0] -= 1
-        for p in compress(rows, labels):
-            work[p] -= 1
-            if p + 1 < n:
-                work[p + 1] += 1
-                key = tuple(work)
-                work[p + 1] -= 1
-            else:
-                key = tuple(work)
-            work[p] += 1
-            gained[key] = gained.get(key, 0) + mult
-    out: dict[Labels, int] = {}
-    for labels, mult in gained.items():
-        # Row n loses a box, and row p does at each nonzero a_p.
-        work = list(labels)
-        work[-1] += 1
-        key = tuple(work)
-        out[key] = out.get(key, 0) + mult
-        work[-1] -= 1
-        for p in compress(rows, labels):
-            work[p] -= 1
-            if p:
-                work[p - 1] += 1
-                key = tuple(work)
-                work[p - 1] -= 1
-            else:
-                key = tuple(work)
-            work[p] += 1
-            out[key] = out.get(key, 0) + mult
-    for labels, mult in state.items():
-        left = out.get(labels, 0) - mult
+    if not state:
+        return {}
+    if set(map(len, state)) != {n} or min(map(min, state)) < 0:
+        for labels in state:
+            _check_labels(labels, n)
+    if min(state.values()) <= 0:
+        for labels, mult in state.items():
+            if mult <= 0:
+                raise ValueError(f"multiplicities must be positive, got {mult} for {labels}")
+    as_bytes = set(map(type, state)) == {bytes}
+    widest = max(state, key=max)
+    top = max(widest) + 2
+    if as_bytes and top > 255:
+        raise ValueError(
+            f"bytes label {tuple(widest)} has an entry above 253, which the step"
+            " could raise past 255; pass tuple labels"
+        )
+    for size, code in _FIELDS:
+        if top >> 8 * size == 0:
+            break
+    else:
+        raise ValueError(f"label entries must be below 2**64 - 2, got {widest}")
+    order = sys.byteorder
+    length = n * size
+    wide = size > 1
+    # field[p] is the packed unit of Dynkin label a_p.
+    field = [1 << 8 * size * p for p in range(n)]
+    if order == "big":
+        field.reverse()
+    # Pieri for V: below a nonzero a_p, row p + 1 gains a box.  For V*:
+    # at a nonzero a_p, row p loses one.
+    gain = [b - a for a, b in zip(field, field[1:] + [0])]
+    lose = [b - a for a, b in zip(field, [0] + field[:-1])]
+    packed = state
+    if wide:
+        packed = (
+            b"".join(map(int.to_bytes, labels, repeat(size), repeat(order)))
+            for labels in state
+        )
+    keys = list(map(int.from_bytes, packed, repeat(order)))
+    first, last = field[0], field[-1]
+    gained: dict[int, int] = {}
+    for key, mult in zip(keys, state.values()):
+        # Row 0 gains a box, raising a_0.
+        moved = key + first
+        gained[moved] = gained.get(moved, 0) + mult
+        raw = key.to_bytes(length, order)
+        for delta in compress(gain, memoryview(raw).cast(code) if wide else raw):
+            moved = key + delta
+            gained[moved] = gained.get(moved, 0) + mult
+    out: dict[int, int] = {}
+    for key, mult in gained.items():
+        # Row n loses a box, raising a_{n-1}.
+        moved = key + last
+        out[moved] = out.get(moved, 0) + mult
+        raw = key.to_bytes(length, order)
+        for delta in compress(lose, memoryview(raw).cast(code) if wide else raw):
+            moved = key + delta
+            out[moved] = out.get(moved, 0) + mult
+    for key, (labels, mult) in zip(keys, state.items()):
+        left = out.get(key, 0) - mult
         if left < 0:
-            raise ArithmeticError(f"{labels} occurs fewer than {mult} times in V x V* x state")
+            raise ArithmeticError(
+                f"{tuple(labels)} occurs fewer than {mult} times in V x V* x state"
+            )
         if left:
-            out[labels] = left
+            out[key] = left
         else:
-            del out[labels]
-    return out
+            del out[key]
+    unpacked = map(int.to_bytes, out, repeat(length), repeat(order))
+    if as_bytes:
+        return dict(zip(unpacked, out.values()))
+    if wide:
+        unpacked = map(memoryview.cast, map(memoryview, unpacked), repeat(code))
+    return dict(zip(map(tuple, unpacked), out.values()))
 
 
 def adjoint_power(k: int, n: int) -> dict[Labels, int]:
@@ -531,7 +582,11 @@ def _certified_powers(k_max: int, n: int):
     """
     _check_stable_range(k_max, n)
     adjoint_dim = (n + 1) ** 2 - 1
-    power = {trivial_labels(n): 1}
+    # The powers are keyed by bytes labels, which the tensor step keeps
+    # as bytes.  A step raises an entry by at most 2, so power k - 1 has
+    # no entry above 2k - 2, below the 254 a bytes label may not reach
+    # for every k <= 127.
+    power = {bytes(n): 1}
     blocks: list[dict[StableLabel, int]] = []
     # Stable label and dimension per Dynkin label, each computed once
     # per dual pair: every label of power k - 1 recurs in power k for
@@ -539,7 +594,7 @@ def _certified_powers(k_max: int, n: int):
     # and the swapped stable pair.  Every power is self-dual, so the
     # 3,583 distinct labels at (10, 19) cost 1,861 measurements (139 of
     # them self-dual).
-    measured: dict[Labels, tuple[StableLabel, int]] = {}
+    measured: dict[bytes, tuple[StableLabel, int]] = {}
     for k in range(k_max + 1):
         if k:
             power = tensor_with_adjoint(power, n)
@@ -552,7 +607,8 @@ def _certified_powers(k_max: int, n: int):
                     measured[lab] = (dynkin_to_stable(lab, n), weyl_dimension(lab, n))
                 else:
                     (left, right), dim = dual
-                    measured[lab] = (StableLabel(right, left), dim)
+                    # The pair was checked when the dual's label was made.
+                    measured[lab] = (tuple.__new__(StableLabel, (right, left)), dim)
             label, dim = measured[lab]
             stable[label] = m
             dimension += m * dim

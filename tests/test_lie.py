@@ -5,8 +5,10 @@ test-side steps that share no code with it: a brute-force oracle that
 convolves full weight-system characters and strips highest weights
 iteratively, the signed dominant reflection of every rho-shifted
 weight, and the box-move rule that moves one box between two rows.
-The run-pair Weyl dimension is checked against Weyl's product over
-every pair of rows.
+Its tuple-keyed and bytes-keyed forms are checked against each other
+and the box-move rule at entries on both sides of each packed field
+width.  The run-pair Weyl dimension is checked against Weyl's product
+over every pair of rows.
 """
 
 from itertools import combinations
@@ -324,6 +326,63 @@ def test_tensor_matches_box_move_on_random_states(case):
     assert tensor_with_adjoint(state, n) == box_move_tensor_with_adjoint(state, n)
 
 
+@st.composite
+def packed_states(draw):
+    # Entries near the one-byte limit (253) and the two-byte one, so the
+    # step packs one, two and four bytes per Dynkin label.
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.one_of(
+        st.integers(0, 3), st.integers(250, 258), st.integers(65530, 65536)
+    )
+    labels = st.tuples(*[entry] * n)
+    state = draw(st.dictionaries(labels, st.integers(1, 3), min_size=1, max_size=4))
+    return state, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_states())
+def test_tuple_and_bytes_steps_agree_with_box_move(case):
+    state, n = case
+    expected = box_move_tensor_with_adjoint(state, n)
+    result = tensor_with_adjoint(state, n)
+    assert result == expected
+    assert all(type(labels) is tuple for labels in result)
+    top = max(map(max, state))
+    if top <= 253:
+        as_bytes = tensor_with_adjoint({bytes(labels): m for labels, m in state.items()}, n)
+        assert all(type(labels) is bytes for labels in as_bytes)
+        assert {tuple(labels): m for labels, m in as_bytes.items()} == expected
+    elif top <= 255:
+        with pytest.raises(ValueError, match="bytes label"):
+            tensor_with_adjoint({bytes(labels): m for labels, m in state.items()}, n)
+
+
+def test_tensor_keeps_its_domain_beyond_one_byte():
+    assert tensor_with_adjoint({(300, 0, 0): 1}, 3) == box_move_tensor_with_adjoint(
+        {(300, 0, 0): 1}, 3
+    )
+    # The widest field holds entries up to 2**64 - 3; beyond, the step refuses.
+    top = 2**64 - 3
+    assert tensor_with_adjoint({(top, 0): 1}, 2) == box_move_tensor_with_adjoint(
+        {(top, 0): 1}, 2
+    )
+    with pytest.raises(ValueError, match="below 2\\*\\*64 - 2"):
+        tensor_with_adjoint({(top + 1, 0): 1}, 2)
+
+
+@pytest.mark.parametrize("entry", [254, 255])
+def test_bytes_label_that_could_overflow_is_named(entry):
+    with pytest.raises(ValueError, match=rf"\(0, {entry}, 1\)"):
+        tensor_with_adjoint({b"\x01\x00\x00": 2, bytes([0, entry, 1]): 1}, 3)
+
+
+def test_mixed_label_types_give_tuples():
+    result = tensor_with_adjoint({b"\x01\x00\x00\x00": 1, (0, 0, 0, 1): 1}, 4)
+    expected = box_move_tensor_with_adjoint({(1, 0, 0, 0): 1, (0, 0, 0, 1): 1}, 4)
+    assert result == expected
+    assert all(type(labels) is tuple for labels in result)
+
+
 def test_tensor_rejects_bad_multiplicity():
     with pytest.raises(ValueError):
         tensor_with_adjoint({trivial_labels(3): 0}, 3)
@@ -583,6 +642,26 @@ def test_each_distinct_label_is_converted_once(monkeypatch):
     assert len(power) == 3583
     assert sum(labels == labels[::-1] for labels in power) == 139
     assert calls == {"dynkin_to_stable": 1861, "weyl_dimension": 1861}
+
+
+def test_oracle_steps_through_the_public_tensor_step(monkeypatch):
+    # The benchmark's traced run counts irreps per power from the spans
+    # of lie.tensor_with_adjoint, so the oracle calls it through the
+    # module, once per power, with (state, n).  The states are bytes-keyed;
+    # the test above counts the 1,861 measurements of the same run.
+    calls = []
+    step = lie.tensor_with_adjoint
+
+    def counted_step(state, n):
+        result = step(state, n)
+        calls.append((n, len(result), {type(labels) for labels in state}))
+        return result
+
+    monkeypatch.setattr(lie, "tensor_with_adjoint", counted_step)
+    assert verify_stable_decomposition(10, 19).passed
+    assert [rank for rank, _, _ in calls] == [19] * 10
+    assert [size for _, size, _ in calls] == [1, 6, 15, 40, 89, 210, 435, 919, 1819, 3583]
+    assert all(types == {bytes} for _, _, types in calls)
 
 
 def test_verify_report_payload():
