@@ -48,12 +48,12 @@ SERIES_ORDER_LIMIT = 2500
 #: routes sum O(max) products per entry, O(max^3) big-integer steps in all.
 COMBINATORICS_LIMIT = 300
 #: Largest ``verify oracle --kmax``: the irreps roughly double with each power.
-#: ``verify oracle --kmax 15 --n 120``, the largest request, takes about 9.5 s
-#: and 95 MB.
-ORACLE_KMAX_LIMIT = 15
-#: Largest ``verify oracle --n``: the Weyl products grow with the rank, and
-#: each label's packed key and bytes grow linearly with it.
-ORACLE_RANK_LIMIT = 120
+#: ``verify oracle --kmax 16 --n 200``, the largest request, takes about 8.5 s
+#: and 200 MB; ``--kmax 17 --n 120`` took 13 s.
+ORACLE_KMAX_LIMIT = 16
+#: Largest ``verify oracle --n``: each label's packed key, its bytes and the
+#: pass over them that measures it grow linearly with the rank.
+ORACLE_RANK_LIMIT = 200
 
 
 def build_parser() -> argparse.ArgumentParser:

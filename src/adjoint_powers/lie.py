@@ -23,12 +23,21 @@ removes one, and the input state is subtracted once, so no weight is
 reflected to the dominant chamber.  Inside a step each label is packed
 into one int with a fixed-width field per Dynkin label, so a box move
 is one integer addition that no field carries out of, and the step
-returns keys of the type it was given.  Weyl dimensions and stable
-labels are both read from the runs of equal parts, one run per nonzero
-Dynkin label, so neither builds an (n+1)-vector.  A label and its dual
-(the reversed labels) share one measurement: the dual has the same
-dimension and the swapped stable pair, so at (10, 19) the certification
-measures 1,861 of the 3,583 distinct labels.  The adjoint weight
+returns keys of the type it was given.  A label is measured by one
+pass over its runs of equal parts, one run per nonzero Dynkin label, so
+nothing builds an (n+1)-vector: the pass splits the highest weight at
+the floor of its mean part into a pair [lambda, mu] of partitions, for
+the oracle's labels exactly the stable pair.  The dimension is Weyl's
+product in factored form, D_lambda(N) D_mu(N) times one small cross
+factor per row of lambda and row of mu (N = n + 1), where D(N) is
+Weyl's product over pairs of runs for one partition alone; the oracle
+computes D(N) once per partition for its rank and keeps it for the run,
+and measures its own step's labels without validating them again.  A
+label and its dual (the reversed labels) share one measurement: the
+dual has the same dimension and the swapped stable pair, so at
+(10, 19) the certification measures 1,861 of the 3,583 distinct labels
+and computes D(N) for 139 partitions.  Block extraction reads power
+k's coefficients from one coefficient_row(k).  The adjoint weight
 system is closed form (the (n+1)n root vectors plus the zero weight
 with multiplicity n); it and the Freudenthal recursion are kept as
 independent cross-checks, not as part of the product path.
@@ -39,11 +48,11 @@ from __future__ import annotations
 import sys
 import time
 from collections import namedtuple
-from itertools import chain, compress, permutations, repeat
-from math import perm
+from itertools import chain, compress, groupby, permutations, repeat
+from math import perm, prod
 from operator import ge
 
-from .coefficients import coefficient
+from .coefficients import coefficient_row
 from .combinatorics import derangement, exact_div
 
 __all__ = [
@@ -139,20 +148,18 @@ def _runs(labels: Labels, n: int) -> list[tuple[int, int, int]]:
     return runs
 
 
-def weyl_dimension(labels: Labels, n: int) -> int:
-    """Dimension of the irreducible with the given highest weight.
+def _run_dimension(runs: list[tuple[int, int, int]]) -> int:
+    """Weyl's product over i < j of (l_i - l_j + j - i) / (j - i) on the
+    parts l given as runs of equal parts, (first row, row after the last,
+    part), top row first.
 
-    Weyl's product over i < j of (l_i - l_j + j - i) / (j - i) on the
-    parts l of the highest weight, taken over pairs of runs of equal
-    parts, since a pair inside one run contributes 1.  A run ends at
-    each nonzero Dynkin label and at row n.  For runs A above B with
-    part difference d, the factors of one row of the shorter run against
-    the whole longer run are a ratio of falling factorials (math.perm);
-    the single division at the end is exact and checked.
+    A pair inside one run contributes 1, so the product is taken over
+    pairs of runs.  For runs A above B with part difference d, the
+    factors of one row of the shorter run against the whole longer run
+    are a ratio of falling factorials (math.perm), so a huge part costs
+    no more than a small one; the single division at the end is exact
+    and checked.
     """
-    _check_rank(n)
-    _check_labels(labels, n)
-    runs = _runs(labels, n)
     numerator = 1
     denominator = 1
     for x, (a0, a1, high) in enumerate(runs):
@@ -169,6 +176,98 @@ def weyl_dimension(labels: Labels, n: int) -> int:
                     numerator *= perm(d + j - a0, length)
                     denominator *= perm(j - a0, length)
     return exact_div(numerator, denominator)
+
+
+def _partition_dimension(parts: tuple[int, ...], rows: int) -> int:
+    """D_lambda(N): Weyl's product for the partition lambda padded with
+    zeros to N = rows rows, the dimension of its irreducible of gl_N."""
+    runs = []
+    start = 0
+    for part, run in groupby(parts):
+        end = start + sum(1 for _ in run)
+        runs.append((start, end, part))
+        start = end
+    runs.append((start, rows, 0))
+    return _run_dimension(runs)
+
+
+def _split(labels: Labels, n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The highest weight split at the floor of its mean part, in one
+    pass over its runs: (left, right, remainder of the mean).
+
+    Each run above the shift adds its length in left parts, each run
+    below it its length in right parts, so both sides are partitions and
+    together hold at most n rows.  The remainder is zero exactly when the
+    two sides hold equal box counts.
+    """
+    runs = _runs(labels, n)
+    shift, remainder = divmod(sum((end - start) * part for start, end, part in runs), n + 1)
+    left = chain.from_iterable(
+        repeat(part - shift, end - start) for start, end, part in runs if part > shift
+    )
+    right = chain.from_iterable(
+        repeat(shift - part, end - start) for start, end, part in reversed(runs) if part < shift
+    )
+    return tuple(left), tuple(right), remainder
+
+
+def _pair_dimension(
+    left: tuple[int, ...], right: tuple[int, ...], rows: int, factors: dict
+) -> int:
+    """dim [lambda, mu] at N = rows, by the factored form of Weyl's product.
+
+    D(N) of each side is read from ``factors`` (partition -> D(N), for
+    this N only), or computed by :func:`_partition_dimension` and kept
+    there.  With rows i of lambda and j of mu counted from 0, so that
+    d = N - 1 - i - j, the cross factor of the pair is
+    (d + l_i + m_j) d / ((d + l_i)(d + m_j)).  The d and the d + l_i
+    run over consecutive integers as j does, and the d + m_j as i does,
+    so their products are falling factorials; only the d + l_i + m_j
+    need the double loop.
+    """
+    numerator = 1
+    for side in (left, right):
+        if side not in factors:
+            factors[side] = _partition_dimension(side, rows)
+        numerator *= factors[side]
+    denominator = 1
+    across, down = len(right), len(left)
+    shifted = [m - j for j, m in enumerate(right)]
+    for i, part in enumerate(left):
+        top = rows - 1 - i + part
+        numerator *= perm(rows - 1 - i, across) * prod(map(top.__add__, shifted))
+        denominator *= perm(top, across)
+    for j, part in enumerate(right):
+        denominator *= perm(rows - 1 - j + part, down)
+    return exact_div(numerator, denominator)
+
+
+def weyl_dimension(labels: Labels, n: int) -> int:
+    """Dimension of the irreducible with the given highest weight.
+
+    Weyl's product over i < j of (l_i - l_j + j - i) / (j - i) on the
+    parts l of the highest weight, in a factored form.  Split the parts
+    at an integer s into a pair [lambda, mu]: l_i = s + lambda_i on the
+    top rows, l_{N+1-j} = s - mu_j on the bottom rows, s between, with
+    N = n + 1.  Any s will do; s is the floor of the mean part, which
+    needs no integrality and, for the weights of adjoint tensor powers,
+    gives the stable pair.  Then, with d = N + 1 - i - j,
+
+        dim = D_lambda(N) D_mu(N) prod_{i <= len(lambda), j <= len(mu)}
+              (d + lambda_i + mu_j) d / ((d + lambda_i)(d + mu_j)),
+
+    which is Weyl's pairs regrouped: D_lambda(N), Weyl's product for
+    lambda alone, counts every pair with a lambda row; D_mu(N) counts
+    every pair with a mu row; and the pair of lambda row i and mu row j,
+    whose true factor is (d + lambda_i + mu_j) / d, is counted by both,
+    as (d + lambda_i) / d and (d + mu_j) / d, which the cross factor
+    corrects.  Each D is a product over pairs of runs of equal parts
+    (:func:`_run_dimension`); the division is exact and checked.
+    """
+    _check_rank(n)
+    _check_labels(labels, n)
+    left, right, _ = _split(labels, n)
+    return _pair_dimension(left, right, n + 1, {})
 
 
 def _bounded_partitions(total: int, max_parts: int, largest: int):
@@ -447,22 +546,14 @@ def dynkin_to_stable(labels: Labels, n: int) -> StableLabel:
     Centers the weight vector so positive and negative parts balance;
     the centering shift must be integral, which holds exactly for the
     weights occurring in adjoint tensor powers.  Works on the runs of
-    equal parts: each run above the shift adds its length in left parts,
-    each run below it its length in right parts.
+    equal parts (:func:`_split`).
     """
     _check_rank(n)
     _check_labels(labels, n)
-    runs = _runs(labels, n)
-    shift, remainder = divmod(sum((end - start) * part for start, end, part in runs), n + 1)
+    left, right, remainder = _split(labels, n)
     if remainder:
         raise ValueError(f"{labels} is not a weight of an adjoint tensor power")
-    left = chain.from_iterable(
-        repeat(part - shift, end - start) for start, end, part in runs if part > shift
-    )
-    right = chain.from_iterable(
-        repeat(shift - part, end - start) for start, end, part in reversed(runs) if part < shift
-    )
-    return StableLabel(tuple(left), tuple(right))
+    return StableLabel(left, right)
 
 
 def _check_stable_range(k_max: int, n: int) -> None:
@@ -593,8 +684,12 @@ def _certified_powers(k_max: int, n: int):
     # k >= 2, and the dual of labels a, a[::-1], has the same dimension
     # and the swapped stable pair.  Every power is self-dual, so the
     # 3,583 distinct labels at (10, 19) cost 1,861 measurements (139 of
-    # them self-dual).
+    # them self-dual).  A measurement is one pass over the label's runs,
+    # the split, and the cross factors of the pair; D(N) of each side
+    # comes from ``factors``, computed once per partition for this rank.
+    # The labels are the step's own, so they are not validated again.
     measured: dict[bytes, tuple[StableLabel, int]] = {}
+    factors: dict[tuple[int, ...], int] = {}
     for k in range(k_max + 1):
         if k:
             power = tensor_with_adjoint(power, n)
@@ -604,7 +699,18 @@ def _certified_powers(k_max: int, n: int):
             if lab not in measured:
                 dual = measured.get(lab[::-1])
                 if dual is None:
-                    measured[lab] = (dynkin_to_stable(lab, n), weyl_dimension(lab, n))
+                    left, right, remainder = _split(lab, n)
+                    if remainder:
+                        raise ArithmeticError(
+                            f"power {k} holds {tuple(lab)}, which is not a weight"
+                            " of an adjoint tensor power"
+                        )
+                    # The runs give partitions, and a zero remainder equal
+                    # box counts: the pair is a valid StableLabel.
+                    measured[lab] = (
+                        tuple.__new__(StableLabel, (left, right)),
+                        _pair_dimension(left, right, n + 1, factors),
+                    )
                 else:
                     (left, right), dim = dual
                     # The pair was checked when the dual's label was made.
@@ -613,9 +719,9 @@ def _certified_powers(k_max: int, n: int):
             stable[label] = m
             dimension += m * dim
         block = dict(stable)
-        for p in range(k):
-            c = coefficient(k, p)
-            for lab, m in blocks[p].items():
+        # c_k^p for each earlier block p < k, from the row coeffs --k prints.
+        for c, earlier in zip(coefficient_row(k).values, blocks):
+            for lab, m in earlier.items():
                 block[lab] = block.get(lab, 0) - c * m
         block = {lab: m for lab, m in block.items() if m}
         blocks.append(block)

@@ -7,10 +7,11 @@ iteratively, the signed dominant reflection of every rho-shifted
 weight, and the box-move rule that moves one box between two rows.
 Its tuple-keyed and bytes-keyed forms are checked against each other
 and the box-move rule at entries on both sides of each packed field
-width.  The run-pair Weyl dimension is checked against Weyl's product
-over every pair of rows.
+width.  The factored Weyl dimension is checked against Weyl's product
+over every pair of rows, on labels and on pairs of partitions.
 """
 
+from collections import namedtuple
 from itertools import combinations
 
 import pytest
@@ -34,6 +35,7 @@ from adjoint_powers import (
     verify_stable_decomposition,
     weyl_dimension,
 )
+from adjoint_powers.combinatorics import ExactDivisionError
 from adjoint_powers.serialize import canonical_json
 
 
@@ -214,6 +216,25 @@ def test_weyl_dimension_is_invariant_under_duality(case):
     # The dual irrep has the reversed labels; the oracle measures one of each pair.
     labels, n = case
     assert weyl_dimension(labels[::-1], n) == weyl_dimension(labels, n)
+
+
+# Any pair of partitions, not only one with equal box counts as a
+# StableLabel; stable_to_dynkin reads only .left and .right.
+PartitionPair = namedtuple("PartitionPair", ["left", "right"])
+
+partitions = st.lists(st.integers(1, 300), max_size=6).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitions, partitions, st.integers(0, 12))
+def test_factored_dimension_matches_plain_product(left, right, spare):
+    # N = n + 1 rows, from exactly len(left) + len(right) up: no row then
+    # sits at the split between the two sides.
+    rows = max(2, len(left) + len(right) + spare)
+    labels = stable_to_dynkin(PartitionPair(left, right), rows - 1)
+    assert lie._pair_dimension(left, right, rows, {}) == plain_weyl_dimension(labels, rows - 1)
 
 
 def test_weyl_dimension_validation():
@@ -604,12 +625,15 @@ def test_miscounted_coefficient_is_caught(error, monkeypatch):
     # Block 4 is the remainder after subtracting c(4, p) copies of each
     # earlier block, so a wrong c(4, 2) leaves block-2 labels (two boxes
     # per side) in it, with positive or negative multiplicity.
-    true_coefficient = lie.coefficient
-    monkeypatch.setattr(
-        lie,
-        "coefficient",
-        lambda k, p: true_coefficient(k, p) + (error if (k, p) == (4, 2) else 0),
-    )
+    true_row = lie.coefficient_row
+
+    def miscounted_row(k):
+        row = true_row(k)
+        if k != 4:
+            return row
+        return row._replace(values=(*row.values[:2], row.values[2] + error, *row.values[3:]))
+
+    monkeypatch.setattr(lie, "coefficient_row", miscounted_row)
     report = verify_stable_decomposition(4, 7)
     assert not report.passed
     assert all(check.passed for check in report.checks[:4])
@@ -627,21 +651,83 @@ def test_each_distinct_label_is_converted_once(monkeypatch):
     # distinct labels of powers 0..10 are those of power 10: 3,583 of
     # the 7,118 labels the eleven powers hold between them.  Each power
     # is self-dual, and a label's dual (its reversal) reuses the label's
-    # measurement, so each dual pair is measured once: 139 of the 3,583
-    # labels are self-dual, and (3,583 + 139) / 2 = 1,861.
-    calls = {"dynkin_to_stable": 0, "weyl_dimension": 0}
-    for name in calls:
-        def counted(labels, n, _inner=getattr(lie, name), _name=name):
-            calls[_name] += 1
-            return _inner(labels, n)
-
-        monkeypatch.setattr(lie, name, counted)
+    # measurement, so each dual pair is measured once, by one split of
+    # its runs: 139 of the 3,583 labels are self-dual, and
+    # (3,583 + 139) / 2 = 1,861.  D(N) is computed once per partition
+    # that is a side of some label: every partition of 0..10, 139 of them.
+    splits = []
+    sides = []
+    split, side_dimension = lie._split, lie._partition_dimension
+    monkeypatch.setattr(lie, "_split", lambda labels, n: splits.append(n) or split(labels, n))
+    monkeypatch.setattr(
+        lie,
+        "_partition_dimension",
+        lambda parts, rows: sides.append(parts) or side_dimension(parts, rows),
+    )
     report = verify_stable_decomposition(10, 19)
     assert report.passed
     power = adjoint_power(10, 19)
     assert len(power) == 3583
     assert sum(labels == labels[::-1] for labels in power) == 139
-    assert calls == {"dynkin_to_stable": 1861, "weyl_dimension": 1861}
+    assert len(splits) == 1861
+    partitions = {side for labels in power for side in dynkin_to_stable(labels, 19)}
+    assert sorted(sides) == sorted(partitions)
+    assert len(sides) == 139
+
+
+def test_block_extraction_reads_one_coefficient_row_per_power(monkeypatch):
+    rows = []
+    row = lie.coefficient_row
+    monkeypatch.setattr(lie, "coefficient_row", lambda k: rows.append(k) or row(k))
+    assert verify_stable_decomposition(6, 11).passed
+    assert rows == list(range(7))
+
+
+def test_reports_at_two_ranks_back_to_back_equal_fresh_ones():
+    # D(N) depends on the rank N, so the oracle keeps it for one run only:
+    # a run at one rank leaves nothing behind for a run at another.  Each
+    # power's dimension is the sum over its labels of the public
+    # weyl_dimension, which starts from nothing on every call.
+    reports = {}
+    for n in (11, 15, 11):
+        report = verify_stable_decomposition(6, n)
+        assert report.passed
+        assert [check.dimension_observed for check in report.checks] == [
+            sum(m * weyl_dimension(labels, n) for labels, m in adjoint_power(k, n).items())
+            for k in range(7)
+        ]
+        assert reports.setdefault(n, report.checks) == report.checks
+    assert extract_stable_blocks(6, 11) == extract_stable_blocks(6, 15)
+
+
+def test_planted_wrong_partition_dimension_fails_its_power(monkeypatch):
+    # D(N) of (2, 1) doubled.  It is computed once, when power 3 first
+    # holds a label with that side, and every later label with that side
+    # reads the cached factor, so powers 3 and 4 fail their dimension
+    # checks and nothing else.
+    computed = []
+    side_dimension = lie._partition_dimension
+
+    def planted(parts, rows):
+        computed.append(parts)
+        return side_dimension(parts, rows) * (2 if parts == (2, 1) else 1)
+
+    monkeypatch.setattr(lie, "_partition_dimension", planted)
+    report = verify_stable_decomposition(4, 7)
+    assert [check.passed for check in report.checks] == [True, True, True, False, False]
+    for check in report.checks[3:]:
+        assert check.dimension_observed != check.dimension_expected
+        assert check._replace(dimension_observed=check.dimension_expected).passed
+    assert computed.count((2, 1)) == 1
+    with pytest.raises(BlockExtractionError, match="power 3 at rank 7"):
+        extract_stable_blocks(4, 7)
+    # A factor that leaves a label's cross product with a remainder is
+    # refused by the exact division instead.
+    monkeypatch.setattr(
+        lie, "_partition_dimension", lambda parts, rows: side_dimension(parts, rows) + 1
+    )
+    with pytest.raises(ExactDivisionError):
+        verify_stable_decomposition(4, 7)
 
 
 def test_oracle_steps_through_the_public_tensor_step(monkeypatch):
@@ -662,6 +748,23 @@ def test_oracle_steps_through_the_public_tensor_step(monkeypatch):
     assert [rank for rank, _, _ in calls] == [19] * 10
     assert [size for _, size, _ in calls] == [1, 6, 15, 40, 89, 210, 435, 919, 1819, 3583]
     assert all(types == {bytes} for _, _, types in calls)
+
+
+def test_step_label_off_the_root_lattice_is_refused(monkeypatch):
+    # The oracle measures its own step's labels without validating them
+    # again, but it still refuses one whose mean part is not an integer:
+    # no weight of an adjoint tensor power has one.  Here power 1 also
+    # holds the defining representation.
+    step = lie.tensor_with_adjoint
+
+    def planted(state, n):
+        out = step(state, n)
+        out[bytes((1,) + (0,) * (n - 1))] = 1
+        return out
+
+    monkeypatch.setattr(lie, "tensor_with_adjoint", planted)
+    with pytest.raises(ArithmeticError, match=r"power 1 holds \(1, 0, 0\), which is not a weight"):
+        verify_stable_decomposition(2, 3)
 
 
 def test_verify_report_payload():
