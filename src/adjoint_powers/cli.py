@@ -6,9 +6,11 @@ series, and runs the two verification suites.  Output on stdout is
 byte-identical for identical arguments; diagnostics (including timings)
 go to stderr.
 
-Exit codes: 0 success, 1 verification failure (report still printed),
-2 usage or domain error, including a request above its cost limit, 141
-(128 + SIGPIPE) when the reader closes stdout early, as ``| head`` does.
+Exit codes: 0 success, 1 verification failure (report still printed,
+except on an arithmetic fault, which prints none and names itself on
+stderr), 2 usage or domain error, including a request above its cost
+limit, 141 (128 + SIGPIPE) when the reader closes stdout early, as
+``| head`` does.
 """
 
 from __future__ import annotations
@@ -431,8 +433,9 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ExactDivisionError as exc:
-        # An exact-arithmetic assertion failed: the formulas were falsified.
+    except ArithmeticError as exc:
+        # An exact division left a remainder (ExactDivisionError), or the
+        # oracle met a label off the root lattice: the formulas were falsified.
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
 

@@ -8,39 +8,36 @@ combinatorial coefficients, in the stable range 2k <= n+1.  One pass
 over the powers builds each power's check and block; the two entry
 points only collect it: verify_stable_decomposition reports the checks
 as data, extract_stable_blocks returns the blocks and raises on the
-first power whose check fails.
+first power whose check fails.  Two arithmetic faults raise from both
+instead of being reported: a Weyl quotient with a remainder
+(ExactDivisionError) and a label off the root lattice (ArithmeticError).
 
-Weights are handled in (n+1)-entry integer coordinates defined up to a
-uniform shift; the canonical representative has minimum entry zero, so
-equality is plain tuple comparison.  Dynkin labels are tuples of n
-nonnegative ints or, while every entry stays below 254, bytes of
-length n: tensor_with_adjoint, weyl_dimension and dynkin_to_stable take
-either, and the oracle keeps its powers as bytes (52 bytes a label at
-n = 19, against 192 for a tuple).  Tensor steps always multiply by the
-adjoint, factored through V x V* = adjoint + trivial: Pieri's rule for
-the defining rep V adds a box to a row, Pieri's rule for its dual
-removes one, and the input state is subtracted once, so no weight is
-reflected to the dominant chamber.  Inside a step each label is packed
-into one int with a fixed-width field per Dynkin label, so a box move
-is one integer addition that no field carries out of, and the step
-returns keys of the type it was given.  A label is measured by one
-pass over its runs of equal parts, one run per nonzero Dynkin label, so
-nothing builds an (n+1)-vector: the pass splits the highest weight at
-the floor of its mean part into a pair [lambda, mu] of partitions, for
-the oracle's labels exactly the stable pair.  The dimension is Weyl's
-product in factored form, D_lambda(N) D_mu(N) times one small cross
-factor per row of lambda and row of mu (N = n + 1), where D(N) is
-Weyl's product over pairs of runs for one partition alone; the oracle
-computes D(N) once per partition for its rank and keeps it for the run,
-and measures its own step's labels without validating them again.  A
-label and its dual (the reversed labels) share one measurement: the
-dual has the same dimension and the swapped stable pair, so at
-(10, 19) the certification measures 1,861 of the 3,583 distinct labels
-and computes D(N) for 139 partitions.  Block extraction reads power
-k's coefficients from one coefficient_row(k).  The adjoint weight
-system is closed form (the (n+1)n root vectors plus the zero weight
-with multiplicity n); it and the Freudenthal recursion are kept as
-independent cross-checks, not as part of the product path.
+Dynkin labels are tuples of n nonnegative ints or, while every entry
+stays below 254, bytes of length n: tensor_with_adjoint,
+weyl_dimension and dynkin_to_stable take either, and the oracle keeps
+its powers as bytes (52 bytes a label at n = 19, against 192 for a
+tuple).  Tensor steps always multiply by the adjoint, factored through
+V x V* = adjoint + trivial: Pieri's rule for the defining rep V adds a
+box to a row, Pieri's rule for its dual removes one, and the input
+state is subtracted once, so no weight is reflected to the dominant
+chamber.  Inside a step each label is packed into one int with a
+fixed-width field per Dynkin label, so a box move is one integer
+addition that no field carries out of, and the step returns keys of
+the type it was given.  A label is measured by one pass over its runs
+of equal parts, one run per nonzero Dynkin label, so nothing builds an
+(n+1)-vector: the pass splits the highest weight at the floor of its
+mean part into a pair [lambda, mu] of partitions, for the oracle's
+labels exactly the stable pair.  The dimension is Weyl's product in
+factored form, D_lambda(N) D_mu(N) times one small cross factor per
+row of lambda and row of mu (N = n + 1), where D(N) is Weyl's product
+over pairs of runs for one partition alone; the oracle computes D(N)
+once per partition for its rank and keeps it for the run, and measures
+its own step's labels without validating them again.  A label and its
+dual (the reversed labels) share one measurement: the dual has the
+same dimension and the swapped stable pair, so at (10, 19) the
+certification measures 1,861 of the 3,583 distinct labels and computes
+D(N) for 139 partitions.  Block extraction reads power k's
+coefficients from one coefficient_row(k).
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from __future__ import annotations
 import sys
 import time
 from collections import namedtuple
-from itertools import chain, compress, groupby, permutations, repeat
+from itertools import chain, compress, groupby, repeat
 from math import perm, prod
 from operator import ge
 
@@ -62,10 +59,8 @@ __all__ = [
     "VerificationReport",
     "adjoint_labels",
     "adjoint_power",
-    "adjoint_weight_system",
     "dynkin_to_stable",
     "extract_stable_blocks",
-    "freudenthal_weights",
     "leading_block_label",
     "stable_to_dynkin",
     "tensor_with_adjoint",
@@ -75,7 +70,6 @@ __all__ = [
 ]
 
 Labels = tuple[int, ...]
-Weight = tuple[int, ...]
 
 #: (bytes, memoryview format) of the packed fields of the tensor step,
 #: narrowest first; each format reads a native unsigned int.
@@ -110,27 +104,9 @@ def adjoint_labels(n: int) -> Labels:
     return (1,) + (0,) * (n - 2) + (1,)
 
 
-def _normalize_weight(coords) -> Weight:
-    """Canonical representative of a weight: shift so the minimum entry is 0."""
-    low = min(coords)
-    return tuple(c - low for c in coords)
-
-
-def _partition(labels: Labels, n: int) -> tuple[int, ...]:
-    """Highest weight as a weakly decreasing (n+1)-vector with last entry 0."""
-    parts = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        parts[i] = parts[i + 1] + labels[i]
-    return tuple(parts)
-
-
 def _labels_of(vec) -> Labels:
     """Dynkin labels of a weakly decreasing weight vector (shift-invariant)."""
     return tuple(vec[i] - vec[i + 1] for i in range(len(vec) - 1))
-
-
-def _rho(n: int) -> tuple[int, ...]:
-    return tuple(range(n, -1, -1))
 
 
 def _runs(labels: Labels, n: int) -> list[tuple[int, int, int]]:
@@ -268,106 +244,6 @@ def weyl_dimension(labels: Labels, n: int) -> int:
     _check_labels(labels, n)
     left, right, _ = _split(labels, n)
     return _pair_dimension(left, right, n + 1, {})
-
-
-def _bounded_partitions(total: int, max_parts: int, largest: int):
-    """Weakly decreasing positive tuples summing to total, at most max_parts parts."""
-    if total == 0:
-        yield ()
-        return
-    if max_parts == 0:
-        return
-    for first in range(min(total, largest), 0, -1):
-        for rest in _bounded_partitions(total - first, max_parts - 1, first):
-            yield (first, *rest)
-
-
-def _dominates(top: tuple[int, ...], other: tuple[int, ...]) -> bool:
-    acc_top = 0
-    acc_other = 0
-    for a, b in zip(top, other):
-        acc_top += a
-        acc_other += b
-        if acc_other > acc_top:
-            return False
-    return True
-
-
-def _dominant_multiplicities(labels: Labels, n: int) -> dict[tuple[int, ...], int]:
-    """Multiplicities of the dominant weights, by the Freudenthal recursion.
-
-    Works in the fixed plane of the highest-weight vector, where the
-    Euclidean dot product gives the correct exact pairings.  Dominant
-    weights of an A-series irrep are exactly the partitions of the same
-    total dominated by the highest weight; they are processed in
-    decreasing lexicographic order so every weight higher up an
-    alpha-string is already known.
-    """
-    top = _partition(labels, n)
-    total = sum(top)
-    dominants = sorted(
-        (
-            mu + (0,) * (n + 1 - len(mu))
-            for mu in _bounded_partitions(total, n + 1, top[0] if top[0] else 0)
-            if _dominates(top, mu + (0,) * (n + 1 - len(mu)))
-        ),
-        reverse=True,
-    )
-    rho = _rho(n)
-    top_norm = sum((t + r) ** 2 for t, r in zip(top, rho))
-    pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
-    mult: dict[tuple[int, ...], int] = {top: 1}
-    for mu in dominants:
-        if mu == top:
-            continue
-        acc = 0
-        for i, j in pairs:
-            t = 1
-            while True:
-                v = list(mu)
-                v[i] += t
-                v[j] -= t
-                m = mult.get(tuple(sorted(v, reverse=True)), 0)
-                if m == 0:
-                    break  # alpha-strings are unbroken: nothing further up
-                acc += m * (v[i] - v[j])
-                t += 1
-        denom = top_norm - sum((x + r) ** 2 for x, r in zip(mu, rho))
-        mult[mu] = exact_div(2 * acc, denom)
-    return mult
-
-
-def freudenthal_weights(labels: Labels, n: int) -> dict[Weight, int]:
-    """Full weight system with multiplicities, keyed by normalized weights.
-
-    The multiplicity of a weight is Weyl-invariant, so each dominant
-    multiplicity is spread over the coordinate permutations of its
-    weight.
-    """
-    _check_rank(n)
-    _check_labels(labels, n)
-    system: dict[Weight, int] = {}
-    for part, mult in _dominant_multiplicities(labels, n).items():
-        for perm in set(permutations(part)):
-            system[_normalize_weight(perm)] = mult
-    return system
-
-
-def adjoint_weight_system(n: int) -> dict[Weight, int]:
-    """The (n+1)n root weights with multiplicity 1 plus the zero weight with multiplicity n.
-
-    The root e_i - e_j, normalized, is 2 at i, 0 at j and 1 elsewhere.
-    """
-    _check_rank(n)
-    system = {(0,) * (n + 1): n}
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i != j:
-                root = [1] * (n + 1)
-                root[i] = 2
-                root[j] = 0
-                system[tuple(root)] = 1
-    return system
 
 
 def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
@@ -763,8 +639,12 @@ def verify_stable_decomposition(k_max: int, n: int) -> VerificationReport:
     (b) the trivial rep appears exactly d_k times, (c) block k holds its
     leading label with multiplicity 1, (d) block k has no negative
     multiplicity, (e) every label in block k has exactly k boxes per
-    side.  Failures are data in the report, not exceptions; a power
-    passes when :attr:`PowerCheck.passed` holds.
+    side.  A failed check is data in the report, not an exception; a
+    power passes when :attr:`PowerCheck.passed` holds.  Two faults raise
+    instead, since no report could hold them: a Weyl quotient that is
+    not exact raises :class:`ExactDivisionError`, and a label off the
+    root lattice, with no stable pair to report it under, raises
+    ArithmeticError.
     """
     started = time.perf_counter()
     checks = [check for check, _block in _certified_powers(k_max, n)]

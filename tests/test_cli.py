@@ -363,6 +363,27 @@ def test_verify_oracle_failure_maps_to_exit_one(capsys, monkeypatch):
     assert out.splitlines()[-1] == "result: FAIL"
 
 
+@pytest.mark.parametrize(
+    "name,plant",
+    [
+        # Power 1 also holds the defining representation, off the root lattice.
+        (
+            "tensor_with_adjoint",
+            lambda step: lambda state, n: {**step(state, n), bytes((1,) + (0,) * (n - 1)): 1},
+        ),
+        # D(N) off by one leaves a remainder in a label's Weyl quotient.
+        ("_partition_dimension", lambda dim: lambda parts, rows: dim(parts, rows) + 1),
+    ],
+    ids=["off-lattice label", "inexact dimension"],
+)
+def test_oracle_arithmetic_fault_exits_one_without_a_report(name, plant, capsys, monkeypatch):
+    # The oracle raises on these two faults instead of reporting them.
+    monkeypatch.setattr(cli.lie, name, plant(getattr(cli.lie, name)))
+    code, out, err = invoke(["verify", "oracle", "--kmax", "2", "--n", "3"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failure:")
+
+
 JSON_COMMANDS = [
     ["table", "euler", "--max", "6", "--format", "json"],
     ["table", "derangement", "--max", "10", "--format", "json"],

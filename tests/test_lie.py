@@ -1,18 +1,22 @@
-"""Lie oracle: weight systems, tensor steps, block extraction, certification.
+"""Lie oracle: tensor steps, dimensions, block extraction, certification.
 
 The factored V x V* tensor step is cross-checked against three
 test-side steps that share no code with it: a brute-force oracle that
 convolves full weight-system characters and strips highest weights
 iteratively, the signed dominant reflection of every rho-shifted
 weight, and the box-move rule that moves one box between two rows.
-Its tuple-keyed and bytes-keyed forms are checked against each other
-and the box-move rule at entries on both sides of each packed field
-width.  The factored Weyl dimension is checked against Weyl's product
-over every pair of rows, on labels and on pairs of partitions.
+The weight systems are test-side too, in the plane of the highest
+weight (integer coordinates with the highest weight's sum): the
+Freudenthal recursion, and the closed-form adjoint system checked
+against it.  The step's tuple-keyed and bytes-keyed forms are checked
+against each other and the box-move rule at entries on both sides of
+each packed field width.  The factored Weyl dimension is checked
+against Weyl's product over every pair of rows, on labels and on pairs
+of partitions.
 """
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,11 +26,9 @@ from adjoint_powers import (
     StableLabel,
     adjoint_labels,
     adjoint_power,
-    adjoint_weight_system,
     derangement,
     dynkin_to_stable,
     extract_stable_blocks,
-    freudenthal_weights,
     leading_block_label,
     lie,
     stable_to_dynkin,
@@ -39,7 +41,7 @@ from adjoint_powers.combinatorics import ExactDivisionError
 from adjoint_powers.serialize import canonical_json
 
 
-# --- brute-force tensor oracle -------------------------------------------
+# --- weight systems in the plane of the highest weight ----------------------
 
 
 def _suffix_parts(labels, n):
@@ -49,15 +51,65 @@ def _suffix_parts(labels, n):
     return tuple(parts)
 
 
+def _dominated_partitions(top, head=()):
+    """The partitions of sum(top) into len(top) parts, zeros included,
+    that top dominates, in decreasing lexicographic order."""
+    if len(head) == len(top):
+        if sum(head) == sum(top):
+            yield head
+        return
+    room = sum(top[: len(head) + 1]) - sum(head)
+    for part in range(min(room, head[-1]) if head else room, -1, -1):
+        yield from _dominated_partitions(top, head + (part,))
+
+
 def plane_weight_system(labels, n):
-    """Weight system shifted into the plane of the highest-weight vector."""
-    total = sum(_suffix_parts(labels, n))
-    out = {}
-    for weight, mult in freudenthal_weights(labels, n).items():
-        shift, remainder = divmod(total - sum(weight), n + 1)
+    """Full weight system with multiplicities, by the Freudenthal recursion.
+
+    Works in the plane of the highest weight, where the Euclidean dot
+    product gives the exact pairings.  The dominant weights of an
+    A-series irrep are the partitions of the same total that the highest
+    weight dominates, taken in decreasing lexicographic order, so every
+    weight higher up an alpha-string is already known.  Multiplicities
+    are Weyl-invariant, so each is spread over the permutations of its
+    weight, which keep the sum and so stay in the plane.
+    """
+    top = _suffix_parts(labels, n)
+    rho = range(n, -1, -1)
+    top_norm = sum((t + r) ** 2 for t, r in zip(top, rho))
+    dominants = _dominated_partitions(top)
+    mult = {next(dominants): 1}  # the highest weight comes first
+    for mu in dominants:
+        acc = 0
+        for i, j in combinations(range(n + 1), 2):
+            v = list(mu)
+            while True:
+                v[i] += 1
+                v[j] -= 1
+                m = mult.get(tuple(sorted(v, reverse=True)), 0)
+                if m == 0:
+                    break  # alpha-strings are unbroken: nothing further up
+                acc += m * (v[i] - v[j])
+        denom = top_norm - sum((x + r) ** 2 for x, r in zip(mu, rho))
+        mult[mu], remainder = divmod(2 * acc, denom)
         assert remainder == 0
-        out[tuple(c + shift for c in weight)] = mult
-    return out
+    return {weight: m for mu, m in mult.items() for weight in set(permutations(mu))}
+
+
+def adjoint_weight_system(n):
+    """The (n+1)n roots with multiplicity 1 and the zero weight with
+    multiplicity n, in the plane of the adjoint's highest weight, whose
+    entries sum to n + 1: zero is 1 in every entry, and the root
+    e_i - e_j is 2 at i, 0 at j and 1 elsewhere."""
+    system = {(1,) * (n + 1): n}
+    for i, j in permutations(range(n + 1), 2):
+        root = [1] * (n + 1)
+        root[i], root[j] = 2, 0
+        system[tuple(root)] = 1
+    return system
+
+
+# --- brute-force tensor oracle -------------------------------------------
 
 
 def brute_tensor_decompose(labels1, labels2, n):
@@ -181,7 +233,7 @@ def test_weyl_dimension_trivial_and_adjoint():
 
 def test_weyl_dimension_derived_example():
     assert weyl_dimension((2, 0, 0, 2), 4) == 200
-    assert sum(freudenthal_weights((2, 0, 0, 2), 4).values()) == 200
+    assert sum(plane_weight_system((2, 0, 0, 2), 4).values()) == 200
 
 
 def test_weyl_dimension_duality():
@@ -247,15 +299,15 @@ def test_weyl_dimension_validation():
 def test_freudenthal_defining_representation():
     for n in range(1, 7):
         labels = (1,) + (0,) * (n - 1)
-        system = freudenthal_weights(labels, n)
+        system = plane_weight_system(labels, n)
         assert len(system) == n + 1
         assert set(system.values()) == {1}
 
 
 def test_freudenthal_adjoint_zero_weight():
     for n in range(1, 7):
-        system = freudenthal_weights(adjoint_labels(n), n)
-        assert system[(0,) * (n + 1)] == n
+        system = plane_weight_system(adjoint_labels(n), n)
+        assert system[(1,) * (n + 1)] == n
 
 
 def test_freudenthal_totals_match_dimension():
@@ -263,13 +315,11 @@ def test_freudenthal_totals_match_dimension():
     for labels, n in cases:
         dim = weyl_dimension(labels, n)
         assert dim <= 10**4
-        assert sum(freudenthal_weights(labels, n).values()) == dim
+        assert sum(plane_weight_system(labels, n).values()) == dim
 
 
 def test_freudenthal_permutation_symmetry():
-    system = freudenthal_weights((2, 0, 2), 3)
-    from itertools import permutations
-
+    system = plane_weight_system((2, 0, 2), 3)
     for weight, mult in system.items():
         for perm in set(permutations(weight)):
             assert system[perm] == mult
@@ -277,14 +327,14 @@ def test_freudenthal_permutation_symmetry():
 
 def test_adjoint_weight_system_counts():
     system = adjoint_weight_system(2)
-    assert system[(0, 0, 0)] == 2
+    assert system[(1, 1, 1)] == 2
     assert len(system) == 7  # six roots plus the zero weight
     assert sum(adjoint_weight_system(5).values()) == 35
 
 
 def test_adjoint_weight_system_matches_freudenthal():
     for n in range(1, 7):
-        assert adjoint_weight_system(n) == freudenthal_weights(adjoint_labels(n), n)
+        assert adjoint_weight_system(n) == plane_weight_system(adjoint_labels(n), n)
 
 
 # --- tensor steps ----------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Package surface: every public name of a module is exported by the package,
-every name the benchmark's traced run wraps exists, the CLI imports only
-what a command runs, the README's library example holds, and the test
-configuration reports a failing property instead of crashing."""
+"""Package surface: the package exports exactly the pinned public names,
+each module's among them, every private helper is used, every name the
+benchmark's traced run wraps exists, the CLI imports only what a command
+runs, the README's library example holds, and the test configuration
+reports a failing property instead of crashing."""
 
 import ast
 import importlib
@@ -29,6 +30,46 @@ def test_module_public_names_are_exported(module):
     names = combinatorics.__all__ + coefficients.__all__ + lie.__all__
     assert len(set(names)) == len(names)
     assert sorted(adjoint_powers.__all__) == sorted(set(names))
+
+
+# The public API: a name added to or dropped from it shows in this list.
+PUBLIC_NAMES = [
+    "BlockExtractionError", "CoefficientRow", "DecompositionTable", "ENUMERATION_LIMIT",
+    "EulerTable", "ExactDivisionError", "HigherDerangementTable", "PowerCheck", "PowerSeries",
+    "StableLabel", "VerificationReport", "adjoint_labels", "adjoint_power", "binomial",
+    "coefficient", "coefficient_by_contraction", "coefficient_row", "decomposition_rows",
+    "decomposition_table", "derangement", "derangement_enumeration_oracle",
+    "derangement_numbers", "dynkin_to_stable", "egf_coefficients", "euler_rows", "euler_table",
+    "exact_div", "extract_stable_blocks", "factorial", "higher_derangement",
+    "higher_derangement_rows", "higher_derangement_table", "leading_block_label",
+    "stable_to_dynkin", "tensor_with_adjoint", "trivial_labels", "verify_stable_decomposition",
+    "weyl_dimension",
+]
+
+
+def test_public_api_is_pinned():
+    assert adjoint_powers.__all__ == PUBLIC_NAMES
+
+
+def test_every_private_helper_is_used():
+    # A top-level private function or class that nothing in the package
+    # names outside its own body is dead code a change left behind.
+    uses = set()  # (name, module, top-level definition holding the use)
+    helpers = []
+    for path in sorted((ROOT / "src" / "adjoint_powers").glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and owner.startswith("_"):
+                helpers.append((owner, path.name))
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                uses.add((name, path.name, owner))
+    unused = [
+        f"{module}:{name}"
+        for name, module in helpers
+        if not any(use[0] == name and use[1:] != (module, name) for use in uses)
+    ]
+    assert helpers and not unused, f"private helpers nothing uses: {unused}"
 
 
 def test_no_module_has_an_assert_statement():
