@@ -33,15 +33,16 @@ REPORT_FORMATS = ("text", "json")
 # measurements).  Anything larger exits 2 before any work is done.
 #: Largest ``table euler|higher --max``: (max+1)(max+2)/2 big integers, made and
 #: printed one row at a time, so time, not memory, sets it.  ``table euler
-#: --max 1100 --format json``, the slowest, prints 1.1 GB in about 8.5 s.
-TABLE_LIMIT = 1100
+#: --max 1300 --format json``, the slowest, prints 1.9 GB in 7-9.6 s.
+TABLE_LIMIT = 1300
 #: Largest ``table derangement --max``: one column, so far longer than the
-#: triangles.  ``--format json``, the slowest, prints 730 MB in about 7.5 s.
-DERANGEMENT_TABLE_LIMIT = 20000
+#: triangles.  ``--format json``, the slowest, prints 1.2 GB in 6.6-8.7 s.
+DERANGEMENT_TABLE_LIMIT = 25000
 #: Largest ``coeffs --k``: rows 0..k of the higher derangements, O(k^2) big-integer steps.
 COEFFS_K_LIMIT = 3000
-#: Largest ``coeffs --upto``: streamed row by row like the tables.
-COEFFS_UPTO_LIMIT = 850
+#: Largest ``coeffs --upto``: streamed row by row like the tables.  ``--format
+#: json``, the slowest, prints 700 MB in 6.6-9 s.
+COEFFS_UPTO_LIMIT = 1100
 #: Largest ``series --k``.
 SERIES_K_LIMIT = 1000
 #: Largest ``series --order``.
@@ -208,14 +209,19 @@ def _cmd_coeffs(args) -> int:
         return 0
     _require_nonnegative(upto=args.upto)
     _require_at_most(COEFFS_UPTO_LIMIT, upto=args.upto)
-    rows = coefficients.decomposition_rows(args.upto)
-    if args.format == "json":
-        entries = ({"k": row.power, "coefficients": map(str, row.values)} for row in rows)
-        _print_json({"max_power": args.upto, "rows": entries})
-    else:
-        header = ["k"] + [f"j={j}" for j in range(args.upto + 1)]
-        cells = (chain((str(row.power),), map(str, row.values)) for row in rows)
-        _print_rows(args.format, header, cells)
+    from decimal import Decimal, localcontext
+
+    # The closed form on Decimal, as ``table`` prints its kernels: it only
+    # adds and multiplies, and a Decimal prints in time linear in its digits.
+    with localcontext(_exact_context()):
+        rows = enumerate(coefficients._closed_form_rows(args.upto, Decimal(1)), start=1)
+        if args.format == "json":
+            entries = ({"k": k, "coefficients": map(str, row)} for k, row in rows)
+            _print_json({"max_power": args.upto, "rows": entries})
+        else:
+            header = ["k"] + [f"j={j}" for j in range(args.upto + 1)]
+            cells = (chain((str(k),), map(str, row)) for k, row in rows)
+            _print_rows(args.format, header, cells)
     return 0
 
 
@@ -314,17 +320,20 @@ def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
         binomials, derangements = binomial_rows(limit), derangement_list(limit)
         rows = zip(
             range(1, limit + 1),
+            coefficients._closed_form_rows(limit, 1),  # what ``coeffs --upto`` prints
             coefficients.decomposition_rows(limit),
             islice(table_route(limit), 1, None),
             strict=True,
         )
-        for k, recurrence_row, table_row in rows:
+        for k, upto_row, recurrence_row, table_row in rows:
             closed_row = coefficients._closed_form_row(k, table_row)
             printed = coefficients.coefficient_row(k).values  # what ``coeffs --k`` prints
-            entries = zip(range(k + 1), printed, closed_row, recurrence_row.values, strict=True)
-            for j, value, closed, recurrence in entries:
+            entries = zip(
+                range(k + 1), upto_row, printed, closed_row, recurrence_row.values, strict=True
+            )
+            for j, upto, value, closed, recurrence in entries:
                 contraction = coefficients._contraction(k, binomials[j], derangements)
-                if not closed == contraction == recurrence == value:
+                if not upto == closed == contraction == recurrence == value:
                     raise AssertionError(f"(k,j)=({k},{j})")
 
     record(f"derangement routes agree (0..{limit})", derangement_routes)

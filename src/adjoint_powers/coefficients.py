@@ -13,22 +13,31 @@ power k is computed by three independent routes:
   one row at a time; :func:`decomposition_table` keeps every row.
 
 All three must agree entry for entry; every division is exact and
-checked.  :func:`coefficient_row` computes the same closed form for a
-whole row from :func:`higher_derangement_rows`, which ``table higher`` prints.
-The closed form and the contraction count each have one body,
+checked.  The closed form and the contraction count each have one body,
 :func:`_closed_form_row` and :func:`_contraction`, which the whole-table
 sweep of ``verify combinatorics`` shares with the functions here.
+
+What the CLI prints: ``coeffs --k`` prints :func:`coefficient_row`, the
+closed form for one whole row from the last row of
+:func:`higher_derangement_rows` (which ``table higher`` prints), on
+``int``.  ``coeffs --upto`` prints :func:`_closed_form_rows`, the closed
+form for every power from one pass of the higher-derangement kernel,
+which never divides, run on ``decimal.Decimal`` in the CLI's exact
+context like the ``table`` kernels.  The recurrence,
+:func:`decomposition_rows`, is the route ``verify combinatorics`` and the
+tests compare those rows with.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import islice
-from operator import mul
+from itertools import islice, repeat
+from operator import add, mul
 
 from .combinatorics import (
     _binomial_row,
+    _higher_derangement_rows,
     _table_route_row,
     binomial,
     derangement_numbers,
@@ -119,6 +128,31 @@ def coefficient_row(k: int) -> CoefficientRow:
     for row in higher_derangement_rows(k):
         pass
     return CoefficientRow(k, _closed_form_row(k, row))
+
+
+def _closed_form_rows(max_power: int, one) -> Iterator[Iterator]:
+    """The closed form C(k, j) * d_k^j for the powers k = 1..max_power, in
+    the number type of ``one``, one row at a time.
+
+    d_k^j comes from one pass of :func:`_higher_derangement_rows`, which
+    never divides, and C(k, j) from a Pascal row kept beside it.  Each row
+    is a lazy ``map`` of their products, so no row is held in two forms.
+    The argument is checked at the call, before the first row is asked for.
+    """
+    if max_power < 1:
+        raise ValueError("decomposition_table requires max_power >= 1")
+    higher_rows = islice(_higher_derangement_rows(max_power, one), 1, None)
+    return map(map, repeat(mul), _pascal_rows(one), higher_rows)
+
+
+def _pascal_rows(one) -> Iterator[list]:
+    """C(k, 0..k) for k = 1, 2, ... without end, in the number type of
+    ``one``: each row a new list, the sums of adjacent entries of the row
+    before between two ones."""
+    row = [one]
+    while True:
+        row = [one, *map(add, row, row[1:]), one]
+        yield row
 
 
 def decomposition_table(max_power: int) -> DecompositionTable:

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import accumulate, count, islice, permutations
+from itertools import accumulate, count, islice, permutations, repeat
 import math
-from operator import eq, mul
+from operator import mul, ne
 
 __all__ = [
     "ENUMERATION_LIMIT",
@@ -196,7 +196,8 @@ def derangement_enumeration_oracle(k: int) -> int:
 
     Costs k! permutations, so arguments above ``ENUMERATION_LIMIT`` are
     refused.  Each permutation is compared with the identity position by
-    position in C (``map(eq, ...)``); none is skipped.
+    position, and the comparisons and the count run in C
+    (``all(map(ne, ...))`` per permutation, summed); none is skipped.
     """
     if k < 0:
         raise ValueError("enumeration requires k >= 0")
@@ -204,12 +205,8 @@ def derangement_enumeration_oracle(k: int) -> int:
         raise ValueError(
             f"enumeration of {k}! permutations exceeds the cost limit (k <= {ENUMERATION_LIMIT})"
         )
-    identity = range(k)
-    count = 0
-    for perm in permutations(identity):
-        if not any(map(eq, perm, identity)):
-            count += 1
-    return count
+    identity = tuple(range(k))
+    return sum(map(all, map(map, repeat(ne), permutations(identity), repeat(identity))))
 
 
 def higher_derangement(n: int, k: int, method: str = "table") -> int:

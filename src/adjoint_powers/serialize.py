@@ -11,8 +11,11 @@ as the rows are made and never held whole; :func:`canonical_json` joins
 the same pieces into one string.  The standard library's encoder drops
 to pure Python whenever ``indent`` is set; this one does too, but joins
 each run of up to :data:`_CHUNK` strings in a list, drawn from a list or
-a generator alike, into one piece through the C string encoder.  So a
-long row of strings is written in bounded pieces, and never held whole.
+a generator alike, into one piece.  So a long row of strings is written
+in bounded pieces, and never held whole.  A run of digit strings, as
+every table row is, is joined between quotes as it stands, since the C
+string encoder would return each one unchanged in its quotes; any other
+run goes through that encoder string by string.
 """
 
 from __future__ import annotations
@@ -107,20 +110,30 @@ def _encode_list(value: object, newline: str) -> Iterator[str]:
     strings: list[str] = []
     for item in items:
         if isinstance(item, str):
-            strings.append(encode_basestring_ascii(item))
+            strings.append(item)
             if len(strings) == _CHUNK:
-                yield lead + separator.join(strings)
+                yield lead + _join_strings(separator, strings)
                 lead, strings = separator, []
             continue
         if strings:
-            yield lead + separator.join(strings)
+            yield lead + _join_strings(separator, strings)
             lead, strings = separator, []
         yield lead
         lead = separator
         yield from _encode(item, inner)
     if strings:
-        yield lead + separator.join(strings)
+        yield lead + _join_strings(separator, strings)
     elif lead is opener:
         yield "[]"
         return
     yield newline + "]"
+
+
+def _join_strings(separator: str, strings: list[str]) -> str:
+    """The JSON strings of ``strings``, joined by ``separator``.  Strings of
+    ASCII digits only encode as themselves in quotes, so they are joined
+    without escaping; ``isascii`` is asked first, so a lone surrogate is
+    never encoded."""
+    if all(map(str.isascii, strings)) and all(map(bytes.isdigit, map(str.encode, strings))):
+        return '"' + ('"' + separator + '"').join(strings) + '"'
+    return separator.join(map(encode_basestring_ascii, strings))

@@ -19,6 +19,7 @@ from adjoint_powers import (
     PowerCheck,
     VerificationReport,
     coefficient,
+    decomposition_rows,
     decomposition_table,
     derangement,
     derangement_numbers,
@@ -82,6 +83,16 @@ def test_decimal_rows_print_as_the_int_rows(size):
         assert list(map(str, derangements)) == list(
             map(str, islice(derangement_numbers(), size + 1))
         )
+
+
+# ``coeffs --upto`` prints the closed form's Decimal rows: every digit must
+# be the recurrence's.
+@settings(max_examples=25, deadline=None)
+@given(size=st.integers(1, 60))
+def test_decimal_closed_form_rows_print_as_the_recurrence_rows(size):
+    with localcontext(cli._exact_context()):
+        closed_form = printed(cli.coefficients._closed_form_rows(size, Decimal(1)))
+    assert closed_form == printed(row.values for row in decomposition_rows(size))
 
 
 def test_exact_context_traps_every_rounding():
@@ -324,6 +335,25 @@ def test_verify_combinatorics_fails_under_optimize():
     assert lines[-1] == "result: FAIL"
 
 
+def test_verify_combinatorics_checks_the_printed_coefficient_rows(capsys, monkeypatch):
+    # The rows ``coeffs --upto`` prints are one of the routes compared.
+    closed_form_rows = cli.coefficients._closed_form_rows
+
+    def off_by_one(max_power, one):
+        for k, row in enumerate(closed_form_rows(max_power, one), start=1):
+            values = list(row)
+            if k == 3:
+                values[2] += 1
+            yield iter(values)
+
+    monkeypatch.setattr("adjoint_powers.cli.coefficients._closed_form_rows", off_by_one)
+    code, out, _ = invoke(["verify", "combinatorics", "--max", "4"], capsys)
+    assert code == 1
+    failures = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failures == ["FAIL coefficient routes agree (0..4): (k,j)=(3,2)"]
+    assert out.splitlines()[-1] == "result: FAIL"
+
+
 def test_verify_oracle_passes(capsys):
     code, out, err = invoke(["verify", "oracle", "--kmax", "2", "--n", "3"], capsys)
     assert code == 0
@@ -444,13 +474,13 @@ def test_streamed_json_matches_json_dumps_at_scale(capsys):
 
 
 # (command, row generator it draws from, module attribute, text of its first row);
-# the table commands draw from the kernels' bodies, run on Decimal.
+# the table and ``coeffs --upto`` commands draw from bodies run on Decimal.
 STREAMED_COMMANDS = [
     ("table euler --max 4 --format json", "combinatorics", "_euler_rows", '"k": 0\n    }'),
     ("table higher --max 4 --format json", "combinatorics", "_higher_derangement_rows", '"n": 0\n    }'),
-    ("coeffs --upto 5 --format json", "coefficients", "decomposition_rows", '"k": 1\n    }'),
+    ("coeffs --upto 5 --format json", "coefficients", "_closed_form_rows", '"k": 1\n    }'),
     ("table euler --max 4 --format csv", "combinatorics", "_euler_rows", "0,1\n"),
-    ("coeffs --upto 5 --format markdown", "coefficients", "decomposition_rows", "| 1 | 0 | 1 |\n"),
+    ("coeffs --upto 5 --format markdown", "coefficients", "_closed_form_rows", "| 1 | 0 | 1 |\n"),
 ]
 
 

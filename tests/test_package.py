@@ -101,9 +101,9 @@ def test_benchmark_traced_attributes_resolve():
 
 # Modules a command does not need: dataclasses and what it pulls in
 # (inspect, ast, dis, tokenize), fractions with decimal (only ``series``
-# builds a Fraction, inside egf_coefficients, and only the ``table``
-# commands print through Decimal), and the json package (the encoder
-# uses the C string encoder from _json).
+# builds a Fraction, inside egf_coefficients, and only the ``table`` and
+# ``coeffs --upto`` commands print through Decimal), and the json package
+# (the encoder uses the C string encoder from _json).
 NOT_IMPORTED_BY_CLI = {
     "dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "json",
 }
@@ -141,6 +141,7 @@ RUN_AND_REPORT_DECIMAL = (
         ("verify oracle --kmax 2 --n 3", False),
         # The check itself sees a load where there is one.
         ("table euler --max 3 --format csv", True),
+        ("coeffs --upto 3 --format csv", True),
     ],
 )
 def test_decimal_loads_only_for_the_tables(command, loads):

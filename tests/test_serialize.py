@@ -78,6 +78,32 @@ def test_string_lists_across_chunk_boundaries(length):
         assert "".join(iterencode(streamed(payload))) == expected
 
 
+# Runs of ASCII digits are joined without escaping; these strings are not
+# such digits, or only look like them, and must still be escaped.
+NOT_ASCII_DIGITS = st.sampled_from(
+    ["", "-12", "\u0661\u0662", "\u00b2", "\ud800", "1\ud8002"]
+    + ['1"2', "3\\4", "5\n", "\x00", "\x7f9"]
+) | st.text(max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    digits=st.lists(
+        st.text(alphabet="0123456789", min_size=1, max_size=12),
+        min_size=_CHUNK - 2,
+        max_size=2 * _CHUNK + 2,
+    ),
+    others=st.lists(st.tuples(st.integers(0, 2 * _CHUNK + 2), NOT_ASCII_DIGITS), max_size=3),
+)
+def test_string_lists_with_digit_runs_match_json_dumps(digits, others):
+    strings = list(digits)
+    for position, text in others:
+        strings.insert(position, text)
+    expected = json.dumps(strings, indent=2, sort_keys=True)
+    assert canonical_json(strings) == expected
+    assert canonical_json(iter(strings)) == expected
+
+
 @pytest.mark.parametrize("length", CHUNK_LENGTHS)
 def test_joined_pieces_hold_at_most_one_chunk(length):
     cells = [str(10**i) for i in range(length)]
