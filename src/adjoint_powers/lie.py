@@ -12,18 +12,20 @@ first power whose check fails.  Two arithmetic faults raise from both
 instead of being reported: a Weyl quotient with a remainder
 (ExactDivisionError) and a label off the root lattice (ArithmeticError).
 
-Dynkin labels are tuples of n nonnegative ints or, while every entry
-stays below 254, bytes of length n: tensor_with_adjoint,
-weyl_dimension and dynkin_to_stable take either, and the oracle keeps
-its powers as bytes (52 bytes a label at n = 19, against 192 for a
-tuple).  Tensor steps always multiply by the adjoint, factored through
-V x V* = adjoint + trivial: Pieri's rule for the defining rep V adds a
-box to a row, Pieri's rule for its dual removes one, and the input
-state is subtracted once, so no weight is reflected to the dominant
-chamber.  Inside a step each label is packed into one int with a
-fixed-width field per Dynkin label, so a box move is one integer
-addition that no field carries out of, and the step returns keys of
-the type it was given.  A label is measured by one pass over its runs
+Dynkin labels are tuples of n nonnegative ints or bytes of length n:
+tensor_with_adjoint, weyl_dimension and dynkin_to_stable take either,
+and the oracle keeps its powers as bytes (52 bytes a label at n = 19,
+against 192 for a tuple).  weyl_dimension and dynkin_to_stable take,
+and stable_to_dynkin returns, tuple labels with entries of any size;
+the tensor step takes entries up to 253 only, enough for every power
+up to 127.  Tensor steps always multiply by the adjoint, factored
+through V x V* = adjoint + trivial: Pieri's rule for the defining rep
+V adds a box to a row, Pieri's rule for its dual removes one, and the
+input state is subtracted once, so no weight is reflected to the
+dominant chamber.  Inside a step each label is packed into one int,
+one byte per Dynkin label in little-endian order, so a box move is one
+integer addition that no byte carries out of, and the step returns
+keys of the type it was given.  A label is measured by one pass over its runs
 of equal parts, one run per nonzero Dynkin label, so nothing builds an
 (n+1)-vector: the pass splits the highest weight at the floor of its
 mean part into a pair [lambda, mu] of partitions, for the oracle's
@@ -42,7 +44,6 @@ coefficients from one coefficient_row(k).
 
 from __future__ import annotations
 
-import sys
 import time
 from collections import namedtuple
 from itertools import chain, compress, groupby, repeat
@@ -70,11 +71,6 @@ __all__ = [
 ]
 
 Labels = tuple[int, ...]
-
-#: (bytes, memoryview format) of the packed fields of the tensor step,
-#: narrowest first; each format reads a native unsigned int.
-_FIELDS = tuple((memoryview(bytes(8)).cast(f).itemsize, f) for f in "BHIQ")
-
 
 class BlockExtractionError(ArithmeticError):
     """Block extraction falsified the decomposition at this rank."""
@@ -257,21 +253,19 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
     removes the trivial summand; a multiplicity that would go negative
     raises instead of being clamped.  No weight is reflected.
 
-    Labels are tuples of n nonnegative ints, or bytes of length n.  The
-    result is keyed by bytes when every input label is bytes, and by
-    tuples otherwise.  Inside the step a label is one int, packed by
-    int.from_bytes in the machine's byte order with one field per Dynkin
-    label, so a box move is one addition of a precomputed delta: a box
-    added to row p + 1 adds field(p + 1) - field(p), lowering a_p and
-    raising a_{p+1}.  No field carries into its neighbour.  A move lowers only a nonzero
-    field, so nothing borrows, and a step raises an entry by at most 2,
-    so fields as wide as the largest entry plus 2 never overflow: one
-    byte while every entry is <= 253, else 2, 4 or 8 bytes.  The rows a
-    move may touch are read in C, by compress over the key's bytes (a
-    memoryview cast of them for wider fields).  Keys are unpacked once,
-    at the end of the step.  A bytes label with an entry above 253, or
-    any label with an entry of 2**64 - 2 or more, raises ValueError,
-    since its result would not fit the label or the widest field.
+    Labels are tuples of n nonnegative ints, or bytes of length n, with
+    every entry at most 253; a label with a larger entry raises
+    ValueError.  The result is keyed by bytes when every input label is
+    bytes, and by tuples otherwise.  Inside the step a label is one
+    int, packed by int.from_bytes in little-endian order with one byte
+    per Dynkin label, so a box move is one addition of a precomputed
+    delta: a box added to row p + 1 adds byte(p + 1) - byte(p), lowering
+    a_p and raising a_{p+1}.  A move lowers only a nonzero byte, so
+    nothing borrows, and a step raises an entry by at most 2, so no
+    byte passes 255 and none carries into its neighbour.  The rows a
+    move may touch are read in C, by compress over the key's bytes.
+    Keys are unpacked once, at the end of the step.  A label of power k
+    has no entry above 2k, so the powers up to 127 stay in the domain.
     """
     _check_rank(n)
     if not state:
@@ -282,46 +276,30 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
     if min(state.values()) <= 0:
         for labels, mult in state.items():
             if mult <= 0:
-                raise ValueError(f"multiplicities must be positive, got {mult} for {labels}")
+                raise ValueError(
+                    f"multiplicities must be positive, got {mult} for {tuple(labels)}"
+                )
     as_bytes = set(map(type, state)) == {bytes}
     widest = max(state, key=max)
-    top = max(widest) + 2
-    if as_bytes and top > 255:
+    if max(widest) > 253:
         raise ValueError(
-            f"bytes label {tuple(widest)} has an entry above 253, which the step"
-            " could raise past 255; pass tuple labels"
+            f"label {tuple(widest)} has an entry above 253, which the step"
+            " could raise past the 255 of one byte"
         )
-    for size, code in _FIELDS:
-        if top >> 8 * size == 0:
-            break
-    else:
-        raise ValueError(f"label entries must be below 2**64 - 2, got {widest}")
-    order = sys.byteorder
-    length = n * size
-    wide = size > 1
-    # field[p] is the packed unit of Dynkin label a_p.
-    field = [1 << 8 * size * p for p in range(n)]
-    if order == "big":
-        field.reverse()
+    # field[p] is the packed unit of Dynkin label a_p, its byte p.
+    field = [1 << 8 * p for p in range(n)]
     # Pieri for V: below a nonzero a_p, row p + 1 gains a box.  For V*:
     # at a nonzero a_p, row p loses one.
     gain = [b - a for a, b in zip(field, field[1:] + [0])]
     lose = [b - a for a, b in zip(field, [0] + field[:-1])]
-    packed = state
-    if wide:
-        packed = (
-            b"".join(map(int.to_bytes, labels, repeat(size), repeat(order)))
-            for labels in state
-        )
-    keys = list(map(int.from_bytes, packed, repeat(order)))
+    keys = list(map(int.from_bytes, state, repeat("little")))
     first, last = field[0], field[-1]
     gained: dict[int, int] = {}
     for key, mult in zip(keys, state.values()):
         # Row 0 gains a box, raising a_0.
         moved = key + first
         gained[moved] = gained.get(moved, 0) + mult
-        raw = key.to_bytes(length, order)
-        for delta in compress(gain, memoryview(raw).cast(code) if wide else raw):
+        for delta in compress(gain, key.to_bytes(n, "little")):
             moved = key + delta
             gained[moved] = gained.get(moved, 0) + mult
     out: dict[int, int] = {}
@@ -329,8 +307,7 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
         # Row n loses a box, raising a_{n-1}.
         moved = key + last
         out[moved] = out.get(moved, 0) + mult
-        raw = key.to_bytes(length, order)
-        for delta in compress(lose, memoryview(raw).cast(code) if wide else raw):
+        for delta in compress(lose, key.to_bytes(n, "little")):
             moved = key + delta
             out[moved] = out.get(moved, 0) + mult
     for key, (labels, mult) in zip(keys, state.items()):
@@ -343,16 +320,19 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
             out[key] = left
         else:
             del out[key]
-    unpacked = map(int.to_bytes, out, repeat(length), repeat(order))
+    unpacked = map(int.to_bytes, out, repeat(n), repeat("little"))
     if as_bytes:
         return dict(zip(unpacked, out.values()))
-    if wide:
-        unpacked = map(memoryview.cast, map(memoryview, unpacked), repeat(code))
     return dict(zip(map(tuple, unpacked), out.values()))
 
 
 def adjoint_power(k: int, n: int) -> dict[Labels, int]:
-    """Decomposition of the k-th adjoint tensor power, from the trivial rep up."""
+    """Decomposition of the k-th adjoint tensor power, from the trivial rep up.
+
+    Keyed by tuples.  Each of the k tensor steps raises an entry by at
+    most 2, so every k <= 127 stays within the step's domain of entries
+    up to 253.
+    """
     if k < 0:
         raise ValueError("power must be >= 0")
     state = {trivial_labels(n): 1}
@@ -428,7 +408,7 @@ def dynkin_to_stable(labels: Labels, n: int) -> StableLabel:
     _check_labels(labels, n)
     left, right, remainder = _split(labels, n)
     if remainder:
-        raise ValueError(f"{labels} is not a weight of an adjoint tensor power")
+        raise ValueError(f"{tuple(labels)} is not a weight of an adjoint tensor power")
     return StableLabel(left, right)
 
 
@@ -551,8 +531,8 @@ def _certified_powers(k_max: int, n: int):
     adjoint_dim = (n + 1) ** 2 - 1
     # The powers are keyed by bytes labels, which the tensor step keeps
     # as bytes.  A step raises an entry by at most 2, so power k - 1 has
-    # no entry above 2k - 2, below the 254 a bytes label may not reach
-    # for every k <= 127.
+    # no entry above 2k - 2, within the step's domain of entries up to
+    # 253 for every k <= 127.
     power = {bytes(n): 1}
     blocks: list[dict[StableLabel, int]] = []
     # Stable label and dimension per Dynkin label, each computed once

@@ -9,12 +9,13 @@ The weight systems are test-side too, in the plane of the highest
 weight (integer coordinates with the highest weight's sum): the
 Freudenthal recursion, and the closed-form adjoint system checked
 against it.  The step's tuple-keyed and bytes-keyed forms are checked
-against each other and the box-move rule at entries on both sides of
-each packed field width.  The factored Weyl dimension is checked
+against each other and the box-move rule at entries up to 253, and
+both are checked to refuse a larger entry.  The factored Weyl dimension is checked
 against Weyl's product over every pair of rows, on labels and on pairs
 of partitions.
 """
 
+import re
 from collections import namedtuple
 from itertools import combinations, permutations
 
@@ -399,12 +400,10 @@ def test_tensor_matches_box_move_on_random_states(case):
 
 @st.composite
 def packed_states(draw):
-    # Entries near the one-byte limit (253) and the two-byte one, so the
-    # step packs one, two and four bytes per Dynkin label.
+    # Entries on both sides of the step's limit of 253, one byte per
+    # Dynkin label.
     n = draw(st.integers(min_value=1, max_value=6))
-    entry = st.one_of(
-        st.integers(0, 3), st.integers(250, 258), st.integers(65530, 65536)
-    )
+    entry = st.one_of(st.integers(0, 3), st.integers(250, 258))
     labels = st.tuples(*[entry] * n)
     state = draw(st.dictionaries(labels, st.integers(1, 3), min_size=1, max_size=4))
     return state, n
@@ -414,37 +413,52 @@ def packed_states(draw):
 @given(packed_states())
 def test_tuple_and_bytes_steps_agree_with_box_move(case):
     state, n = case
+    widest = max(state, key=max)
+    if max(widest) > 253:
+        # Both key types are refused, naming the label as a tuple; bytes
+        # cannot hold an entry above 255.
+        refusal = re.escape(f"label {widest} has an entry above 253")
+        for key in [tuple] + ([bytes] if max(widest) <= 255 else []):
+            with pytest.raises(ValueError, match=refusal):
+                tensor_with_adjoint({key(labels): m for labels, m in state.items()}, n)
+        return
     expected = box_move_tensor_with_adjoint(state, n)
     result = tensor_with_adjoint(state, n)
     assert result == expected
     assert all(type(labels) is tuple for labels in result)
-    top = max(map(max, state))
-    if top <= 253:
-        as_bytes = tensor_with_adjoint({bytes(labels): m for labels, m in state.items()}, n)
-        assert all(type(labels) is bytes for labels in as_bytes)
-        assert {tuple(labels): m for labels, m in as_bytes.items()} == expected
-    elif top <= 255:
-        with pytest.raises(ValueError, match="bytes label"):
-            tensor_with_adjoint({bytes(labels): m for labels, m in state.items()}, n)
+    as_bytes = tensor_with_adjoint({bytes(labels): m for labels, m in state.items()}, n)
+    assert all(type(labels) is bytes for labels in as_bytes)
+    assert {tuple(labels): m for labels, m in as_bytes.items()} == expected
 
 
-def test_tensor_keeps_its_domain_beyond_one_byte():
-    assert tensor_with_adjoint({(300, 0, 0): 1}, 3) == box_move_tensor_with_adjoint(
-        {(300, 0, 0): 1}, 3
-    )
-    # The widest field holds entries up to 2**64 - 3; beyond, the step refuses.
-    top = 2**64 - 3
-    assert tensor_with_adjoint({(top, 0): 1}, 2) == box_move_tensor_with_adjoint(
-        {(top, 0): 1}, 2
-    )
-    with pytest.raises(ValueError, match="below 2\\*\\*64 - 2"):
-        tensor_with_adjoint({(top + 1, 0): 1}, 2)
+def test_tensor_refuses_entries_beyond_one_byte():
+    # 253 is the largest entry the step takes, since a step may raise it
+    # to 255: a_0 gets there when row 1 also gives up a box (a_1 > 0),
+    # or at rank 1.
+    for labels, top in [((253, 0, 0), (254, 0, 1)), ((253, 1, 0), (255, 0, 0)), ((253,), (255,))]:
+        result = tensor_with_adjoint({labels: 1}, len(labels))
+        assert result == box_move_tensor_with_adjoint({labels: 1}, len(labels))
+        assert top in result
+    for labels in [(254, 0, 0), (300, 0, 0), (2**64, 0)]:
+        refusal = re.escape(f"label {labels} has an entry above 253")
+        with pytest.raises(ValueError, match=refusal):
+            tensor_with_adjoint({labels: 1}, len(labels))
 
 
 @pytest.mark.parametrize("entry", [254, 255])
 def test_bytes_label_that_could_overflow_is_named(entry):
     with pytest.raises(ValueError, match=rf"\(0, {entry}, 1\)"):
         tensor_with_adjoint({b"\x01\x00\x00": 2, bytes([0, entry, 1]): 1}, 3)
+
+
+@pytest.mark.parametrize("key", [tuple, bytes])
+def test_errors_name_a_label_as_a_tuple(key):
+    # A bytes label is printed as the tuple of its entries, as every
+    # other message prints a label.
+    with pytest.raises(ValueError, match=r"got 0 for \(1, 0, 0\)$"):
+        tensor_with_adjoint({key((1, 0, 0)): 0}, 3)
+    with pytest.raises(ValueError, match=r"^\(1, 0\) is not a weight"):
+        dynkin_to_stable(key((1, 0)), 2)
 
 
 def test_mixed_label_types_give_tuples():
