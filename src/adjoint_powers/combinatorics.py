@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import accumulate, count, islice, permutations, repeat
+from itertools import accumulate, count, islice
 import math
-from operator import mul, ne
+from operator import mul
 
 __all__ = [
     "ENUMERATION_LIMIT",
@@ -51,7 +51,8 @@ __all__ = [
     "higher_derangement_table",
 ]
 
-#: Largest argument accepted by the brute-force derangement count (10! permutations).
+#: Largest argument accepted by the brute-force derangement count: all 10!
+#: permutations are built, one byte per entry, and checked column by column.
 ENUMERATION_LIMIT = 10
 
 DERANGEMENT_METHODS = ("adjacent", "alternating", "table")
@@ -192,12 +193,15 @@ def _derangement_numbers(one) -> Iterator:
 
 
 def derangement_enumeration_oracle(k: int) -> int:
-    """Count derangements literally, by checking every permutation of {1..k}.
+    """Count derangements literally, by checking every permutation of {0..k-1}.
 
     Costs k! permutations, so arguments above ``ENUMERATION_LIMIT`` are
-    refused.  Each permutation is compared with the identity position by
-    position, and the comparisons and the count run in C
-    (``all(map(ne, ...))`` per permutation, summed); none is skipped.
+    refused.  The permutations are built as bytes columns, one byte per
+    entry, and checked in the k blocks of :func:`_permutation_blocks`.  In
+    each block, column i is translated to a mask of the rows whose entry i
+    equals i; the k masks are ORed as ints, and the bits left set count the
+    rows with a fixed point.  Every one of the k! permutations is built and
+    each of its k positions is compared with the identity; none is skipped.
     """
     if k < 0:
         raise ValueError("enumeration requires k >= 0")
@@ -205,8 +209,33 @@ def derangement_enumeration_oracle(k: int) -> int:
         raise ValueError(
             f"enumeration of {k}! permutations exceeds the cost limit (k <= {ENUMERATION_LIMIT})"
         )
-    identity = tuple(range(k))
-    return sum(map(all, map(map, repeat(ne), permutations(identity), repeat(identity))))
+    if k == 0:
+        return 1  # the one permutation of nothing has no fixed point
+    marks = [bytes(i) + b"\1" + bytes(255 - i) for i in range(k)]  # byte i -> 1, others -> 0
+    derangements = 0
+    for block in _permutation_blocks(k):
+        fixed = 0
+        for column, mark in zip(block, marks, strict=True):
+            fixed |= int.from_bytes(column.translate(mark), "little")
+        derangements += len(block[0]) - fixed.bit_count()
+    return derangements
+
+
+def _permutation_blocks(k: int) -> list[list[bytes]]:
+    """Every permutation of range(k), k >= 1, as k blocks of (k-1)! rows.
+
+    A block is a list of k ``bytes`` columns, column i holding entry i of
+    each row.  Block j is the permutations of range(k-1) with k-1 inserted
+    at position j, and shares their k-1 columns: the blocks of range(k-1)
+    joined, built in the same way from range(0) up.
+    """
+    blocks, size = [[]], 1  # range(0): one block of one empty row
+    for m in range(k):
+        columns = list(map(b"".join, zip(*blocks)))  # the permutations of range(m)
+        inserted = bytes((m,)) * size
+        blocks = [[*columns[:j], inserted, *columns[j:]] for j in range(m + 1)]
+        size *= m + 1
+    return blocks
 
 
 def higher_derangement(n: int, k: int, method: str = "table") -> int:

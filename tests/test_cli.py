@@ -241,8 +241,20 @@ def bump_contraction(original):
     return planted
 
 
+def drop_a_derangement(original):
+    # Block 0 of k = 4 ends with (3, 0, 1, 2), which has no fixed point.
+    def planted(k):
+        blocks = original(k)
+        if k == 4:
+            blocks[0] = [column[:-1] for column in blocks[0]]
+        return blocks
+
+    return planted
+
+
 # (module, route body, planted wrong entry, FAIL lines of ``verify combinatorics --max 4``).
-# The table route also feeds the series check and the closed-form coefficients.
+# The table route also feeds the series check and the closed-form coefficients;
+# the block builder feeds the enumeration oracle.
 PLANTED_ROUTES = [
     pytest.param(
         "combinatorics", "_table_route_row", bump_table_route,
@@ -267,6 +279,11 @@ PLANTED_ROUTES = [
         "coefficients", "_contraction", bump_contraction,
         ["FAIL coefficient routes agree (0..4): (k,j)=(4,2)"],
         id="contraction",
+    ),
+    pytest.param(
+        "combinatorics", "_permutation_blocks", drop_a_derangement,
+        ["FAIL enumeration oracle matches (0..4): k=4"],
+        id="enumeration",
     ),
 ]
 

@@ -6,7 +6,9 @@ from itertools import islice, permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from adjoint_powers import combinatorics
 from adjoint_powers import (
+    ENUMERATION_LIMIT,
     ExactDivisionError,
     binomial,
     derangement,
@@ -172,24 +174,30 @@ def test_enumeration_oracle_examples():
 
 
 def test_enumeration_oracle_agrees_with_recurrences():
-    for k in range(8):
+    for k in range(ENUMERATION_LIMIT + 1):
         assert derangement_enumeration_oracle(k) == derangement(k)
 
 
 def test_enumeration_oracle_inspects_every_permutation(monkeypatch):
-    inspected = 0
+    # The rows of the blocks the oracle checks are every permutation of
+    # range(k), each once, and its count is k! less the rows with a fixed
+    # point, counted here row by row.  k = 0 builds no block (the examples).
+    permutation_blocks = combinatorics._permutation_blocks
+    checked = []
 
-    def counting_permutations(iterable):
-        nonlocal inspected
-        for perm in permutations(iterable):
-            inspected += 1
-            yield perm
+    def recording_blocks(k):
+        blocks = permutation_blocks(k)
+        checked.extend(row for block in blocks for row in zip(*block))
+        return blocks
 
-    monkeypatch.setattr("adjoint_powers.combinatorics.permutations", counting_permutations)
-    for k in range(8):
-        inspected = 0
-        assert derangement_enumeration_oracle(k) == DERANGEMENTS[k]
-        assert inspected == factorial(k), f"k={k}"
+    monkeypatch.setattr(combinatorics, "_permutation_blocks", recording_blocks)
+    for k in range(1, 9):
+        checked.clear()
+        result = derangement_enumeration_oracle(k)
+        assert len(checked) == factorial(k), f"k={k}"
+        assert set(checked) == set(permutations(range(k))), f"k={k}"
+        with_fixed_point = sum(any(map(int.__eq__, row, range(k))) for row in checked)
+        assert result == factorial(k) - with_fixed_point == DERANGEMENTS[k], f"k={k}"
 
 
 def test_enumeration_oracle_cost_limit():
