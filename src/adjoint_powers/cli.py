@@ -207,7 +207,8 @@ def _cmd_coeffs(args) -> int:
             cells = values if args.format == "csv" else [str(row.power), *values]
             _print_rows(args.format, header, [cells])
         return 0
-    _require_nonnegative(upto=args.upto)
+    if args.upto < 1:
+        raise ValueError(f"--upto must be >= 1, got {args.upto}")
     _require_at_most(COEFFS_UPTO_LIMIT, upto=args.upto)
     from decimal import Decimal, localcontext
 
@@ -257,15 +258,19 @@ def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
             checks.append((name, True, ""))
 
     def derangement_routes() -> None:
-        for k, row in enumerate(combinatorics.euler_rows(limit)):
-            adjacent = combinatorics.derangement(k, "adjacent")
-            alternating = combinatorics.derangement(k, "alternating")
+        routes = zip(
+            combinatorics.euler_rows(limit),
+            combinatorics.derangement_numbers(),  # what ``table derangement`` prints
+            combinatorics._alternating_derangements(),
+        )
+        for k, (row, adjacent, alternating) in enumerate(routes):
             if not adjacent == alternating == row[0]:
                 raise AssertionError(f"k={k}")
 
     def enumeration() -> None:
-        for k in range(min(limit, 9) + 1):
-            if combinatorics.derangement(k) != combinatorics.derangement_enumeration_oracle(k):
+        values = islice(combinatorics.derangement_numbers(), min(limit, 9) + 1)
+        for k, value in enumerate(values):
+            if value != combinatorics.derangement_enumeration_oracle(k):
                 raise AssertionError(f"k={k}")
 
     def divisibility() -> None:
@@ -275,8 +280,8 @@ def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
                 if entry % factorials[j]:
                     raise AssertionError(f"(k,j)=({k},{j})")
 
-    # Each route below builds its own whole table in one pass, through the
-    # body its per-entry function uses, and reads no other route's table.
+    # Each route below builds its own whole table in one pass, through its
+    # one body, and reads no other route's table.
     def table_route(max_index: int):
         """Rows of the ``table`` route: the difference table divided by k!."""
         return map(combinatorics._table_route_row, combinatorics.euler_rows(max_index))
@@ -307,11 +312,14 @@ def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
                 raise AssertionError(f"subdiagonal n={n}")
 
     def series_consistency() -> None:
-        for k in range(min(limit, 8) + 1):
+        k_max = min(limit, 8)
+        # d_{m+k}^k from one pass of the kernel ``table higher`` prints.
+        rows = list(combinatorics._higher_derangement_rows(k_max + 20, 1))
+        for k in range(k_max + 1):
             series = combinatorics.egf_coefficients(k, 20)
             for m in range(21):
                 value = series.coefficient(m) * combinatorics.factorial(m)
-                if value != combinatorics.higher_derangement(m + k, k):
+                if value != rows[m + k][k]:
                     raise AssertionError(f"(k,m)=({k},{m})")
 
     def coefficient_routes() -> None:

@@ -5,7 +5,8 @@ representation splits into rank-independent blocks, one block per number
 of uncontracted index pairs.  The integer coefficient of block j in
 power k is computed by three independent routes:
 
-* :func:`coefficient`: the closed form C(k, j) * d_k^j,
+* the closed form C(k, j) * d_k^j: :func:`coefficient_row` for one row,
+  and :func:`coefficient` for one entry of it,
 * :func:`coefficient_by_contraction`: counting contraction patterns
   directly, C(k, p) * (1/p!) * sum_l C(p, l) d_{k-l},
 * :func:`decomposition_rows`: the two-term recurrence
@@ -13,19 +14,21 @@ power k is computed by three independent routes:
   one row at a time; :func:`decomposition_table` keeps every row.
 
 All three must agree entry for entry; every division is exact and
-checked.  The closed form and the contraction count each have one body,
-:func:`_closed_form_row` and :func:`_contraction`, which the whole-table
-sweep of ``verify combinatorics`` shares with the functions here.
+checked.  Each route has one public function, and none takes a
+route-selecting argument.  The closed form and the contraction count
+each have one private body, :func:`_closed_form_row` and
+:func:`_contraction`, which ``verify combinatorics`` sweeps as a whole
+table.
 
 What the CLI prints: ``coeffs --k`` prints :func:`coefficient_row`, the
 closed form for one whole row from the last row of
 :func:`higher_derangement_rows` (which ``table higher`` prints), on
-``int``.  ``coeffs --upto`` prints :func:`_closed_form_rows`, the closed
-form for every power from one pass of the higher-derangement kernel,
-which never divides, run on ``decimal.Decimal`` in the CLI's exact
-context like the ``table`` kernels.  The recurrence,
-:func:`decomposition_rows`, is the route ``verify combinatorics`` and the
-tests compare those rows with.
+``int``; :func:`coefficient` reads the same row.  ``coeffs --upto``
+prints :func:`_closed_form_rows`, the closed form for every power from
+one pass of the higher-derangement kernel, which never divides, run on
+``decimal.Decimal`` in the CLI's exact context like the ``table``
+kernels.  The recurrence, :func:`decomposition_rows`, is the route
+``verify combinatorics`` and the tests compare those rows with.
 """
 
 from __future__ import annotations
@@ -38,10 +41,8 @@ from operator import add, mul
 from .combinatorics import (
     _binomial_row,
     _higher_derangement_rows,
-    _table_route_row,
     binomial,
     derangement_numbers,
-    euler_table,
     exact_div,
     factorial,
     higher_derangement_rows,
@@ -81,11 +82,10 @@ class DecompositionTable(namedtuple("DecompositionTable", ["max_power", "rows"])
 
 
 def coefficient(k: int, j: int) -> int:
-    """Block coefficient by the closed form C(k, j) * d_k^j, with d_k^j by
-    the ``table`` route of :func:`higher_derangement`."""
+    """Block coefficient C(k, j) * d_k^j, entry j of :func:`coefficient_row`."""
     if k < 0 or j < 0 or j > k:
         raise ValueError(f"coefficient requires 0 <= j <= k, got ({k}, {j})")
-    return _closed_form_row(k, _table_route_row(euler_table(k).row(k)))[j]
+    return coefficient_row(k).values[j]
 
 
 def _closed_form_row(k: int, higher_row: tuple[int, ...]) -> tuple[int, ...]:
@@ -140,7 +140,7 @@ def _closed_form_rows(max_power: int, one) -> Iterator[Iterator]:
     The argument is checked at the call, before the first row is asked for.
     """
     if max_power < 1:
-        raise ValueError("decomposition_table requires max_power >= 1")
+        raise ValueError("max_power must be >= 1")
     higher_rows = islice(_higher_derangement_rows(max_power, one), 1, None)
     return map(map, repeat(mul), _pascal_rows(one), higher_rows)
 
@@ -171,7 +171,7 @@ def decomposition_rows(max_power: int) -> Iterator[CoefficientRow]:
     the first row is asked for.
     """
     if max_power < 1:
-        raise ValueError("decomposition_table requires max_power >= 1")
+        raise ValueError("max_power must be >= 1")
     return _decomposition_rows(max_power)
 
 

@@ -17,10 +17,15 @@ number type, given by its unit ``one``.  The library runs them on ``int``;
 the CLI runs them on ``decimal.Decimal`` in an exact context, whose
 str() is linear in the digits where int's is quadratic.
 
-Each route of the higher derangements (and of the coefficients) has one
-body, shared by its per-entry function and by the whole-table sweeps of
-``verify combinatorics``: :func:`_table_route_row`,
-:func:`_recurrence_columns` and :func:`_closed_form` here.
+There is one public function per quantity, and it reads the production
+kernel its command prints: :func:`derangement` reads
+:func:`derangement_numbers`, and :func:`higher_derangement` reads
+:func:`higher_derangement_rows`.  The reference routes are private
+bodies that ``verify combinatorics`` sweeps as whole tables against
+those kernels: the alternating recurrence
+:func:`_alternating_derangements` here, and, for the higher
+derangements, :func:`_table_route_row`, :func:`_recurrence_columns` and
+:func:`_closed_form`.
 """
 
 from __future__ import annotations
@@ -54,9 +59,6 @@ __all__ = [
 #: Largest argument accepted by the brute-force derangement count: all 10!
 #: permutations are built, one byte per entry, and checked column by column.
 ENUMERATION_LIMIT = 10
-
-DERANGEMENT_METHODS = ("adjacent", "alternating", "table")
-HIGHER_DERANGEMENT_METHODS = ("table", "recurrence", "closed_form")
 
 
 class ExactDivisionError(ArithmeticError):
@@ -152,29 +154,12 @@ def _euler_rows(max_index: int, one) -> Iterator[tuple]:
         yield previous
 
 
-def derangement(k: int, method: str = "adjacent") -> int:
-    """Number of fixed-point-free permutations of k items.
-
-    Three independent routes, which must agree:
-
-    * ``adjacent``:    d_k = (k-1) (d_{k-1} + d_{k-2}),  d_0 = 1, d_1 = 0
-    * ``alternating``: d_k = k d_{k-1} + (-1)^k,         d_0 = 1
-    * ``table``:       column 0 of the difference table
-    """
+def derangement(k: int) -> int:
+    """Number of fixed-point-free permutations of k items, d_k, read from
+    :func:`derangement_numbers`."""
     if k < 0:
         raise ValueError("derangement requires k >= 0")
-    if method == "adjacent":
-        return next(islice(derangement_numbers(), k, None))
-    if method == "alternating":
-        value = 1
-        for i in range(1, k + 1):
-            value = i * value + (-1) ** i
-        return value
-    if method == "table":
-        return euler_table(k).entry(k, 0)
-    raise ValueError(
-        f"unknown derangement method {method!r}; expected one of {DERANGEMENT_METHODS}"
-    )
+    return next(islice(derangement_numbers(), k, None))
 
 
 def derangement_numbers():
@@ -190,6 +175,16 @@ def _derangement_numbers(one) -> Iterator:
     for i in count(2):
         yield curr
         prev, curr = curr, (i - 1) * (curr + prev)
+
+
+def _alternating_derangements() -> Iterator[int]:
+    """Reference route: d_0, d_1, d_2, ... without end, by the alternating
+    recurrence d_k = k d_{k-1} + (-1)^k from d_0 = 1."""
+    value = 1
+    yield value
+    for k in count(1):
+        value = k * value + (-1 if k & 1 else 1)
+        yield value
 
 
 def derangement_enumeration_oracle(k: int) -> int:
@@ -238,45 +233,28 @@ def _permutation_blocks(k: int) -> list[list[bytes]]:
     return blocks
 
 
-def higher_derangement(n: int, k: int, method: str = "table") -> int:
-    """Higher derangement number d_n^k, an exact integer for 0 <= k <= n.
-
-    * ``table``:       e_n^k / k!  (division exact by construction)
-    * ``recurrence``:  d_n^k = (d_n^{k-1} + d_{n-1}^{k-1}) / k, iterated in k
-    * ``closed_form``: d_n^k = (1/k!) sum_j C(k, j) d_{n-j}
-
-    Each route's body is shared with the whole-table sweeps of ``verify
-    combinatorics``: :func:`_table_route_row`, :func:`_recurrence_columns`
-    and :func:`_closed_form`.
-    """
+def higher_derangement(n: int, k: int) -> int:
+    """Higher derangement number d_n^k, an exact integer for 0 <= k <= n,
+    read from row n of :func:`higher_derangement_rows`."""
     if n < 0 or k < 0:
         raise ValueError("higher_derangement requires n, k >= 0")
     if k > n:
         raise ValueError(f"higher_derangement requires k <= n, got ({n}, {k})")
-    if method == "table":
-        return _table_route_row(euler_table(n).row(n))[k]
-    if method == "recurrence":
-        return next(islice(_recurrence_columns(n), k, None))[n]
-    if method == "closed_form":
-        return _closed_form(n, _binomial_row(k), list(islice(derangement_numbers(), n + 1)))
-    raise ValueError(
-        f"unknown higher_derangement method {method!r}; "
-        f"expected one of {HIGHER_DERANGEMENT_METHODS}"
-    )
+    return next(islice(higher_derangement_rows(n), n, None))[k]
 
 
 def _table_route_row(euler_row: tuple[int, ...]) -> tuple[int, ...]:
-    """Route ``table``, one whole row: d_n^k = e_n^k / k! for k = 0..n, from
-    row n of the difference table."""
+    """Reference route ``table``, one whole row: d_n^k = e_n^k / k! for
+    k = 0..n, from row n of the difference table."""
     factorials = accumulate(range(1, len(euler_row)), mul, initial=1)
     return tuple(map(exact_div, euler_row, factorials))
 
 
 def _recurrence_columns(max_index: int) -> Iterator[list[int]]:
-    """Route ``recurrence``, column by column: column k lists d_n^k for
-    n = 0..max_index (0 above the diagonal, n < k), each column from the
-    one before by d_n^k = (d_n^{k-1} + d_{n-1}^{k-1}) / k.  Column 0 is
-    the derangement numbers."""
+    """Reference route ``recurrence``, column by column: column k lists
+    d_n^k for n = 0..max_index (0 above the diagonal, n < k), each column
+    from the one before by d_n^k = (d_n^{k-1} + d_{n-1}^{k-1}) / k.
+    Column 0 is the derangement numbers."""
     column = list(islice(derangement_numbers(), max_index + 1))
     yield column
     for k in range(1, max_index + 1):
@@ -287,9 +265,9 @@ def _recurrence_columns(max_index: int) -> Iterator[list[int]]:
 
 
 def _closed_form(n: int, binomials: list[int], derangements: list[int]) -> int:
-    """Route ``closed_form``, one entry: d_n^k = (1/k!) sum_j C(k, j) d_{n-j},
-    where ``binomials`` is the row C(k, 0..k) and ``derangements`` holds
-    d_0..d_n (or more)."""
+    """Reference route ``closed_form``, one entry: d_n^k = (1/k!) sum_j
+    C(k, j) d_{n-j}, where ``binomials`` is the row C(k, 0..k) and
+    ``derangements`` holds d_0..d_n (or more)."""
     k = len(binomials) - 1
     total = sum(map(mul, binomials, reversed(derangements[n - k : n + 1])))
     return exact_div(total, factorial(k))

@@ -5,14 +5,18 @@ them on success) and enforces the criterion's runtime budget.
 """
 
 import time
+from itertools import islice
 
+from adjoint_powers import combinatorics
 from adjoint_powers import (
     coefficient,
     coefficient_by_contraction,
     decomposition_table,
     derangement,
     derangement_enumeration_oracle,
+    derangement_numbers,
     egf_coefficients,
+    euler_rows,
     euler_table,
     extract_stable_blocks,
     factorial,
@@ -81,8 +85,11 @@ def _criterion(number, name, budget_seconds, body):
 
 def test_criterion_1_golden_tables():
     def body():
-        for method in ("adjacent", "alternating", "table"):
-            assert tuple(derangement(k, method) for k in range(11)) == DERANGEMENTS
+        # The public function, then the alternating recurrence and column 0
+        # of the difference table, the private routes of verify combinatorics.
+        assert tuple(derangement(k) for k in range(11)) == DERANGEMENTS
+        assert tuple(islice(combinatorics._alternating_derangements(), 11)) == DERANGEMENTS
+        assert tuple(row[0] for row in euler_rows(10)) == DERANGEMENTS
         assert euler_table(9).entries == EULER_ROWS
         assert higher_derangement_table(9).entries == HIGHER_ROWS
         assert sum(len(r) for r in EULER_ROWS) == sum(len(r) for r in HIGHER_ROWS) == 55
@@ -109,11 +116,17 @@ def test_criterion_3_cross_formula_sweep():
             row = table.row(k).values
             for j in range(k + 1):
                 assert coefficient(k, j) == coefficient_by_contraction(k, j) == row[j]
-        for n in range(31):
+        # The public function against the three private routes, each built
+        # as one whole table.
+        derangements = list(islice(derangement_numbers(), 31))
+        columns = list(combinatorics._recurrence_columns(30))
+        for n, euler_row in enumerate(euler_rows(30)):
+            table_row = combinatorics._table_route_row(euler_row)
             for k in range(n + 1):
-                value = higher_derangement(n, k, "table")
-                assert value == higher_derangement(n, k, "recurrence")
-                assert value == higher_derangement(n, k, "closed_form")
+                value = higher_derangement(n, k)
+                assert value == table_row[k] == columns[k][n]
+                binomials = combinatorics._binomial_row(k)
+                assert value == combinatorics._closed_form(n, binomials, derangements)
 
     _criterion(3, "cross-formula equivalence sweep to 30", 5.0, body)
 

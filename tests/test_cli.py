@@ -241,6 +241,22 @@ def bump_contraction(original):
     return planted
 
 
+def bump_alternating_route(original):
+    def planted():
+        for k, value in enumerate(original()):
+            yield value + (k == 3)
+
+    return planted
+
+
+def bump_higher_kernel(original):
+    def planted(max_index, one):
+        for row in original(max_index, one):
+            yield (row[0], row[1] + 1, *row[2:]) if len(row) == 4 else row
+
+    return planted
+
+
 def drop_a_derangement(original):
     # Block 0 of k = 4 ends with (3, 0, 1, 2), which has no fixed point.
     def planted(k):
@@ -253,17 +269,31 @@ def drop_a_derangement(original):
 
 
 # (module, route body, planted wrong entry, FAIL lines of ``verify combinatorics --max 4``).
-# The table route also feeds the series check and the closed-form coefficients;
-# the block builder feeds the enumeration oracle.
+# The table route also feeds the closed-form coefficients; the higher-derangement
+# kernel feeds the series check and the row ``coeffs --k`` prints; the block
+# builder feeds the enumeration oracle.
 PLANTED_ROUTES = [
     pytest.param(
+        "combinatorics", "_alternating_derangements", bump_alternating_route,
+        ["FAIL derangement routes agree (0..4): k=3"],
+        id="alternating",
+    ),
+    pytest.param(
         "combinatorics", "_table_route_row", bump_table_route,
+        [
+            "FAIL higher derangement routes agree (0..4): (n,k)=(3,1)",
+            "FAIL coefficient routes agree (0..4): (k,j)=(3,1)",
+        ],
+        id="table",
+    ),
+    pytest.param(
+        "combinatorics", "_higher_derangement_rows", bump_higher_kernel,
         [
             "FAIL higher derangement routes agree (0..4): (n,k)=(3,1)",
             "FAIL series coefficients match higher derangements (k<=min(4,8), m<=20): (k,m)=(1,2)",
             "FAIL coefficient routes agree (0..4): (k,j)=(3,1)",
         ],
-        id="table",
+        id="higher",
     ),
     pytest.param(
         "combinatorics", "_recurrence_columns", bump_recurrence_route,
@@ -534,7 +564,7 @@ def test_row_generator_domain_error_exits_two_before_any_output(fmt, capsys):
     code, out, err = invoke(["coeffs", "--upto", "0", "--format", fmt], capsys)
     assert code == 2
     assert out == ""
-    assert "decomposition_table requires max_power >= 1" in err
+    assert "error: --upto must be >= 1, got 0" in err
 
 
 @pytest.mark.parametrize(

@@ -137,7 +137,7 @@ def test_domain_errors():
 
 def test_decomposition_rows_validate_at_the_call():
     # Raised by the call itself, before any row is drawn, with the table's message.
-    message = r"^decomposition_table requires max_power >= 1$"
+    message = r"^max_power must be >= 1$"
     with pytest.raises(ValueError, match=message):
         decomposition_rows(0)
     with pytest.raises(ValueError, match=message):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import islice, permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from adjoint_powers import combinatorics
 from adjoint_powers import (
@@ -54,6 +54,28 @@ HIGHER_ROWS = (
     (14833, 16687, 9403, 3539, 1001, 227, 43, 7, 1),
     (133496, 148329, 82508, 30637, 8544, 1909, 356, 57, 8, 1),
 )
+
+
+def derangement_routes(max_index):
+    """d_0..d_max_index by each route: the production generator (the
+    adjacent recurrence), the private alternating recurrence, and column 0
+    of the difference table."""
+    return {
+        "adjacent": tuple(islice(derangement_numbers(), max_index + 1)),
+        "alternating": tuple(islice(combinatorics._alternating_derangements(), max_index + 1)),
+        "table": tuple(row[0] for row in euler_rows(max_index)),
+    }
+
+
+def higher_derangement_routes(n, k):
+    """d_n^k by each private reference route: the difference table divided
+    by k!, the recurrence in k, and the closed form."""
+    derangements = list(islice(derangement_numbers(), n + 1))
+    return {
+        "table": combinatorics._table_route_row(euler_table(n).row(n))[k],
+        "recurrence": next(islice(combinatorics._recurrence_columns(n), k, None))[n],
+        "closed_form": combinatorics._closed_form(n, combinatorics._binomial_row(k), derangements),
+    }
 
 
 def test_factorial_examples():
@@ -143,28 +165,27 @@ def test_euler_table_bounds():
 
 
 def test_derangement_golden_all_methods():
-    for method in ("adjacent", "alternating", "table"):
-        assert tuple(derangement(k, method) for k in range(11)) == DERANGEMENTS
-    assert tuple(islice(derangement_numbers(), 11)) == DERANGEMENTS
+    for values in derangement_routes(10).values():
+        assert values == DERANGEMENTS
+    assert tuple(derangement(k) for k in range(11)) == DERANGEMENTS
 
 
 def test_derangement_seeds():
-    for method in ("adjacent", "alternating", "table"):
-        assert derangement(0, method) == 1
-        assert derangement(1, method) == 0
+    for values in derangement_routes(1).values():
+        assert values == (1, 0)
+    assert derangement(0) == 1
+    assert derangement(1) == 0
 
 
 def test_derangement_methods_agree_to_30():
-    table = euler_table(30)
-    for k in range(31):
-        assert derangement(k, "adjacent") == derangement(k, "alternating") == table.entry(k, 0)
+    routes = derangement_routes(30)
+    assert routes["adjacent"] == routes["alternating"] == routes["table"]
+    assert tuple(derangement(k) for k in range(31)) == routes["adjacent"]
 
 
 def test_derangement_rejects_bad_input():
     with pytest.raises(ValueError):
         derangement(-1)
-    with pytest.raises(ValueError):
-        derangement(3, "guess")
 
 
 def test_enumeration_oracle_examples():
@@ -207,6 +228,9 @@ def test_enumeration_oracle_cost_limit():
 
 def test_higher_derangement_golden_table():
     assert higher_derangement_table(9).entries == HIGHER_ROWS
+    for n, row in enumerate(HIGHER_ROWS):
+        for k, value in enumerate(row):
+            assert set(higher_derangement_routes(n, k).values()) == {value}, (n, k)
 
 
 def test_higher_derangement_examples():
@@ -228,16 +252,32 @@ def test_higher_derangement_derived_value():
     assert total % 120 == 0
     expected = total // 120
     assert expected == 18089
-    for method in ("table", "recurrence", "closed_form"):
-        assert higher_derangement(10, 5, method) == expected
+    assert higher_derangement(10, 5) == expected
+    for value in higher_derangement_routes(10, 5).values():
+        assert value == expected
 
 
 def test_higher_derangement_methods_agree():
     for n in range(17):
         for k in range(n + 1):
-            table = higher_derangement(n, k, "table")
-            assert table == higher_derangement(n, k, "recurrence")
-            assert table == higher_derangement(n, k, "closed_form")
+            routes = higher_derangement_routes(n, k)
+            assert routes["table"] == routes["recurrence"] == routes["closed_form"]
+            assert routes["table"] == higher_derangement(n, k)
+
+
+@st.composite
+def higher_derangement_indices(draw):
+    n = draw(st.integers(0, 60))
+    return n, draw(st.integers(0, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(higher_derangement_indices())
+def test_higher_derangement_matches_every_route(case):
+    n, k = case
+    value = higher_derangement(n, k)
+    for route, expected in higher_derangement_routes(n, k).items():
+        assert value == expected, route
 
 
 def test_higher_derangement_table_invariants():
@@ -270,8 +310,6 @@ def test_higher_derangement_domain_errors():
         higher_derangement(3, 4)
     with pytest.raises(ValueError):
         higher_derangement(-1, 0)
-    with pytest.raises(ValueError):
-        higher_derangement(4, 2, "guess")
 
 
 def reference_egf_coefficients(k, order):
