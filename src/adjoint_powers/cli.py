@@ -314,7 +314,7 @@ def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
     def series_consistency() -> None:
         k_max = min(limit, 8)
         # d_{m+k}^k from one pass of the kernel ``table higher`` prints.
-        rows = list(combinatorics._higher_derangement_rows(k_max + 20, 1))
+        rows = list(combinatorics.higher_derangement_rows(k_max + 20))
         for k in range(k_max + 1):
             series = combinatorics.egf_coefficients(k, 20)
             for m in range(21):

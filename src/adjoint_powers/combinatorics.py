@@ -17,8 +17,9 @@ number type, given by its unit ``one``.  The library runs them on ``int``;
 the CLI runs them on ``decimal.Decimal`` in an exact context, whose
 str() is linear in the digits where int's is quadratic.
 
-There is one public function per quantity, and it reads the production
-kernel its command prints: :func:`derangement` reads
+Each public function has one path and takes no route-selecting
+argument; a per-entry function reads the production kernel its command
+prints: :func:`derangement` reads
 :func:`derangement_numbers`, and :func:`higher_derangement` reads
 :func:`higher_derangement_rows`.  The reference routes are private
 bodies that ``verify combinatorics`` sweeps as whole tables against

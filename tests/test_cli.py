@@ -197,7 +197,8 @@ def test_verify_combinatorics_records_value_error_as_failure(capsys, monkeypatch
 
 
 def test_verify_combinatorics_checks_the_printed_higher_table(capsys, monkeypatch):
-    # The rows ``table higher`` prints are one of the routes compared.
+    # The rows ``table higher`` prints are one of the routes compared, and
+    # the series check reads its d_{m+k}^k from them.
     rows = cli.combinatorics.higher_derangement_rows
 
     def off_by_one(max_index):
@@ -208,7 +209,10 @@ def test_verify_combinatorics_checks_the_printed_higher_table(capsys, monkeypatc
     code, out, _ = invoke(["verify", "combinatorics", "--max", "4"], capsys)
     assert code == 1
     failures = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert failures == ["FAIL higher derangement routes agree (0..4): (n,k)=(3,1)"]
+    assert failures == [
+        "FAIL higher derangement routes agree (0..4): (n,k)=(3,1)",
+        "FAIL series coefficients match higher derangements (k<=min(4,8), m<=20): (k,m)=(1,2)",
+    ]
 
 
 def bump_table_route(original):

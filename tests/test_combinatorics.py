@@ -186,6 +186,9 @@ def test_derangement_methods_agree_to_30():
 def test_derangement_rejects_bad_input():
     with pytest.raises(ValueError):
         derangement(-1)
+    # No route-selecting argument: the removed ``method`` stays removed.
+    with pytest.raises(TypeError):
+        derangement(3, "guess")
 
 
 def test_enumeration_oracle_examples():
@@ -310,6 +313,8 @@ def test_higher_derangement_domain_errors():
         higher_derangement(3, 4)
     with pytest.raises(ValueError):
         higher_derangement(-1, 0)
+    with pytest.raises(TypeError):
+        higher_derangement(4, 2, "guess")
 
 
 def reference_egf_coefficients(k, order):
