@@ -6,6 +6,12 @@ series, and runs the two verification suites.  Output on stdout is
 byte-identical for identical arguments; diagnostics (including timings)
 go to stderr.
 
+Every command prints through one printer, ``_print_output``, the only
+code here that branches on the format.  A command hands it each form of
+its output (a JSON payload, text lines, or CSV and markdown rows); a
+table's forms all draw lazily on one row generator, and only the form
+asked for is drawn.
+
 Exit codes: 0 success, 1 verification failure (report still printed,
 except on an arithmetic fault, which prints none and names itself on
 stderr), 2 usage or domain error, including a request above its cost
@@ -18,6 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from itertools import chain, islice
 
 from . import coefficients, combinatorics, lie
@@ -105,41 +112,65 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_nonnegative(**values: int) -> None:
-    for name, value in values.items():
-        if value < 0:
-            raise ValueError(f"--{name} must be nonnegative, got {value}")
-
-
-def _require_at_most(limit: int, **values: int) -> None:
-    for name, value in values.items():
+def _require_sizes(lowest: int | None = 0, **sizes: tuple[int, int]) -> None:
+    """Refuse a size argument, given as ``name=(value, limit)``, below
+    ``lowest`` or above its cost limit.  Every argument is held to
+    ``lowest`` before any to its limit, so a request with both faults names
+    the low one.  ``lowest=None`` leaves low values to the library's checks."""
+    if lowest is not None:
+        for name, (value, _) in sizes.items():
+            if value < lowest:
+                bound = f">= {lowest}" if lowest else "nonnegative"
+                raise ValueError(f"--{name} must be {bound}, got {value}")
+    for name, (value, limit) in sizes.items():
         if value > limit:
             raise ValueError(f"--{name} {value} exceeds the cost limit (--{name} <= {limit})")
 
 
-def _print_rows(fmt: str, header: list[str], rows) -> None:
-    """Print a table one row at a time: markdown under its header, or CSV
-    without one.  Each row is an iterable of cell strings, written in
-    pieces of a few cells, so neither the table nor a row is built whole."""
-    if fmt == "csv":
-        for cells in rows:
+def _print_output(fmt: str, **forms) -> None:
+    """Print the form of a command's output that ``fmt`` names: ``json`` a
+    payload, ``text`` lines, ``csv`` rows, and ``markdown`` a header and
+    rows, each row an iterable of cell strings.  Rows go out a few cells at
+    a time and the payload as the encoder yields it, so a form made of
+    generators is never built whole, and the other forms are never drawn."""
+    form = forms[fmt]
+    if fmt == "json":
+        sys.stdout.writelines(iterencode(form))
+        print()
+    elif fmt == "text":
+        for line in form:
+            print(line)
+    elif fmt == "csv":
+        for cells in form:
             _print_row("", ",", cells, "\n")
-        return
-    _print_row("| ", " | ", header, " |\n")
-    print("|" + "|".join(" --- " for _ in header) + "|")
-    for cells in rows:
-        _print_row("| ", " | ", cells, " |\n")
+    else:
+        header, rows = form
+        _print_row("| ", " | ", header, " |\n")
+        print("|" + "|".join(" --- " for _ in header) + "|")
+        for cells in rows:
+            _print_row("| ", " | ", cells, " |\n")
 
 
 def _print_row(opener: str, separator: str, cells, closer: str) -> None:
     sys.stdout.writelines(chain((opener,), _join_pieces(separator, cells), (closer,)))
 
 
-def _print_json(payload) -> None:
-    """Print canonical JSON piece by piece as the encoder yields it, so a
-    payload holding row generators is written one row at a time."""
-    sys.stdout.writelines(iterencode(payload))
-    print()
+def _print_numbered_rows(fmt, size_key, size, rows, index, entries, column, start=0) -> None:
+    """Print ``rows`` of cells 0..``size``, numbered from ``start``: in JSON
+    as ``{size_key: size, "rows": [{index: i, entries: [...]}, ...]}``, in
+    markdown and CSV a line per row led by its number."""
+    numbered = enumerate(rows, start)
+    payload = {size_key: size, "rows": ({index: i, entries: map(str, row)} for i, row in numbered)}
+    cells = (chain((str(i),), map(str, row)) for i, row in numbered)
+    header = [index, *(f"{column}={j}" for j in range(size + 1))]
+    _print_output(fmt, json=payload, csv=cells, markdown=(header, cells))
+
+
+def _print_column(fmt: str, payload: dict, header: list[str], values) -> None:
+    """Print one column of ``values``: in JSON the ``payload`` that holds
+    them, in markdown and CSV a line per value led by its index."""
+    cells = ((str(i), value) for i, value in enumerate(values))
+    _print_output(fmt, json=payload, csv=cells, markdown=(header, cells))
 
 
 def _exact_context():
@@ -155,89 +186,66 @@ def _exact_context():
     return Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=traps)
 
 
-def _cmd_table(args) -> int:
-    """Print a table from its row kernel run on ``Decimal``: the kernels
-    only add, subtract and multiply by small ints, which the exact context
-    never rounds, and a ``Decimal`` prints in time linear in its digits,
-    where an ``int`` takes quadratic time."""
-    _require_nonnegative(max=args.max)
-    limit = DERANGEMENT_TABLE_LIMIT if args.which == "derangement" else TABLE_LIMIT
-    _require_at_most(limit, max=args.max)
+@contextmanager
+def _exact_decimals():
+    """Yield ``Decimal(1)`` in the exact context, for a row kernel to run
+    on: the kernels only add, subtract and multiply by small ints, which
+    the context never rounds, and a ``Decimal`` prints in time linear in
+    its digits, where an ``int`` takes quadratic time.  The rows are drawn
+    while they print, so they print inside the block."""
     from decimal import Decimal, localcontext
 
-    # The rows are drawn lazily while they print, so they print inside the context.
     with localcontext(_exact_context()):
-        _print_table(args, Decimal(1))
-    return 0
+        yield Decimal(1)
 
 
-def _print_table(args, one) -> None:
-    if args.which == "derangement":
-        values = map(str, islice(combinatorics._derangement_numbers(one), args.max + 1))
-        if args.format == "json":
-            _print_json({"max_index": args.max, "values": values})
+def _cmd_table(args) -> int:
+    limit = DERANGEMENT_TABLE_LIMIT if args.which == "derangement" else TABLE_LIMIT
+    _require_sizes(max=(args.max, limit))
+    with _exact_decimals() as one:
+        if args.which == "derangement":
+            values = map(str, islice(combinatorics._derangement_numbers(one), args.max + 1))
+            payload = {"max_index": args.max, "values": values}
+            _print_column(args.format, payload, ["k", "derangements"], values)
+        elif args.which == "euler":
+            rows = combinatorics._euler_rows(args.max, one)
+            _print_numbered_rows(args.format, "max_index", args.max, rows, "k", "entries", "j")
         else:
-            rows = ((str(k), value) for k, value in enumerate(values))
-            _print_rows(args.format, ["k", "derangements"], rows)
-        return
-    if args.which == "euler":
-        rows, index, column = combinatorics._euler_rows(args.max, one), "k", "j"
-    else:
-        rows, index, column = combinatorics._higher_derangement_rows(args.max, one), "n", "k"
-    if args.format == "json":
-        entries = ({index: i, "entries": map(str, row)} for i, row in enumerate(rows))
-        _print_json({"max_index": args.max, "rows": entries})
-    else:
-        header = [index] + [f"{column}={j}" for j in range(args.max + 1)]
-        cells = (chain((str(i),), map(str, row)) for i, row in enumerate(rows))
-        _print_rows(args.format, header, cells)
+            rows = combinatorics._higher_derangement_rows(args.max, one)
+            _print_numbered_rows(args.format, "max_index", args.max, rows, "n", "entries", "k")
+    return 0
 
 
 def _cmd_coeffs(args) -> int:
     if args.k is not None:
-        _require_nonnegative(k=args.k)
-        _require_at_most(COEFFS_K_LIMIT, k=args.k)
+        _require_sizes(k=(args.k, COEFFS_K_LIMIT))
         row = coefficients.coefficient_row(args.k)
         values = [str(v) for v in row.values]
-        if args.format == "json":
-            _print_json({"k": row.power, "coefficients": values})
-        else:
-            header = ["k"] + [f"j={j}" for j in range(len(values))]
+        header = ["k"] + [f"j={j}" for j in range(len(values))]
+        _print_output(
+            args.format,
+            json={"k": row.power, "coefficients": values},
             # The single-row CSV is the bare coefficients, without the power.
-            cells = values if args.format == "csv" else [str(row.power), *values]
-            _print_rows(args.format, header, [cells])
+            csv=[values],
+            markdown=(header, [[str(row.power), *values]]),
+        )
         return 0
-    if args.upto < 1:
-        raise ValueError(f"--upto must be >= 1, got {args.upto}")
-    _require_at_most(COEFFS_UPTO_LIMIT, upto=args.upto)
-    from decimal import Decimal, localcontext
-
-    # The closed form on Decimal, as ``table`` prints its kernels: it only
-    # adds and multiplies, and a Decimal prints in time linear in its digits.
-    with localcontext(_exact_context()):
-        rows = enumerate(coefficients._closed_form_rows(args.upto, Decimal(1)), start=1)
-        if args.format == "json":
-            entries = ({"k": k, "coefficients": map(str, row)} for k, row in rows)
-            _print_json({"max_power": args.upto, "rows": entries})
-        else:
-            header = ["k"] + [f"j={j}" for j in range(args.upto + 1)]
-            cells = (chain((str(k),), map(str, row)) for k, row in rows)
-            _print_rows(args.format, header, cells)
+    _require_sizes(1, upto=(args.upto, COEFFS_UPTO_LIMIT))
+    # The closed form on Decimal, as ``table`` prints its kernels.
+    with _exact_decimals() as one:
+        rows = coefficients._closed_form_rows(args.upto, one)
+        _print_numbered_rows(
+            args.format, "max_power", args.upto, rows, "k", "coefficients", "j", start=1
+        )
     return 0
 
 
 def _cmd_series(args) -> int:
-    _require_nonnegative(k=args.k, order=args.order)
-    _require_at_most(SERIES_K_LIMIT, k=args.k)
-    _require_at_most(SERIES_ORDER_LIMIT, order=args.order)
+    _require_sizes(k=(args.k, SERIES_K_LIMIT), order=(args.order, SERIES_ORDER_LIMIT))
     series = combinatorics.egf_coefficients(args.k, args.order)
     values = [str(c) for c in series.coefficients]
-    if args.format == "json":
-        payload = {"k": series.parameter, "order": series.order, "coefficients": values}
-        _print_json(payload)
-    else:
-        rows = ([str(m), value] for m, value in enumerate(values))
-        _print_rows(args.format, ["m", "coefficient"], rows)
+    payload = {"k": series.parameter, "order": series.order, "coefficients": values}
+    _print_column(args.format, payload, ["m", "coefficient"], values)
     return 0
 
 
@@ -355,56 +363,48 @@ def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
 
 
 def _cmd_verify_combinatorics(args) -> int:
-    _require_nonnegative(max=args.max)
-    _require_at_most(COMBINATORICS_LIMIT, max=args.max)
+    _require_sizes(max=(args.max, COMBINATORICS_LIMIT))
     checks = _combinatorics_checks(args.max)
     passed = all(ok for _, ok, _ in checks)
-    if args.format == "json":
-        payload = {
-            "suite": "combinatorics",
-            "max": args.max,
-            "passed": passed,
-            "checks": [
-                {"name": name, "passed": ok, "detail": detail}
-                for name, ok, detail in checks
-            ],
-        }
-        _print_json(payload)
-    else:
-        for name, ok, detail in checks:
-            print(f"ok {name}" if ok else f"FAIL {name}: {detail}")
-        print(f"result: {'PASS' if passed else 'FAIL'}")
+    payload = {
+        "suite": "combinatorics",
+        "max": args.max,
+        "passed": passed,
+        "checks": [
+            {"name": name, "passed": ok, "detail": detail} for name, ok, detail in checks
+        ],
+    }
+    lines = [f"ok {name}" if ok else f"FAIL {name}: {detail}" for name, ok, detail in checks]
+    lines.append(f"result: {'PASS' if passed else 'FAIL'}")
+    _print_output(args.format, json=payload, text=lines)
     return 0 if passed else 1
 
 
-def _render_report_text(report: lie.VerificationReport) -> str:
-    lines = [f"verify oracle: k_max={report.k_max} rank={report.rank}"]
+def _report_lines(report: lie.VerificationReport):
+    yield f"verify oracle: k_max={report.k_max} rank={report.rank}"
     for check in report.checks:
         status = "ok" if check.passed else "FAIL"
-        lines.append(
+        yield (
             f"k={check.power} {status} dimension={check.dimension_observed}"
             f" trivial={check.trivial_observed}"
         )
         if check.dimension_expected != check.dimension_observed:
-            lines.append(
+            yield (
                 f"  dimension mismatch: expected {check.dimension_expected},"
                 f" observed {check.dimension_observed}"
             )
         if check.trivial_expected != check.trivial_observed:
-            lines.append(
+            yield (
                 f"  trivial multiplicity mismatch: expected {check.trivial_expected},"
                 f" observed {check.trivial_observed}"
             )
         if not check.leading_ok:
-            lines.append("  leading label missing or off unit multiplicity")
+            yield "  leading label missing or off unit multiplicity"
         for label, mult in sorted(check.negative_entries.items()):
-            lines.append(f"  negative block entry {_label_text(label)}: {mult}")
+            yield f"  negative block entry {_label_text(label)}: {mult}"
         for label, (expected, observed) in sorted(check.residual.items()):
-            lines.append(
-                f"  residual {_label_text(label)}: expected {expected}, observed {observed}"
-            )
-    lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
-    return "\n".join(lines)
+            yield f"  residual {_label_text(label)}: expected {expected}, observed {observed}"
+    yield f"result: {'PASS' if report.passed else 'FAIL'}"
 
 
 def _label_text(label: lie.StableLabel) -> str:
@@ -413,13 +413,9 @@ def _label_text(label: lie.StableLabel) -> str:
 
 def _cmd_verify_oracle(args) -> int:
     # Negative and out-of-range values are refused by lie, with its messages.
-    _require_at_most(ORACLE_KMAX_LIMIT, kmax=args.kmax)
-    _require_at_most(ORACLE_RANK_LIMIT, n=args.n)
+    _require_sizes(None, kmax=(args.kmax, ORACLE_KMAX_LIMIT), n=(args.n, ORACLE_RANK_LIMIT))
     report = lie.verify_stable_decomposition(args.kmax, args.n)
-    if args.format == "json":
-        _print_json(report.to_payload())
-    else:
-        print(_render_report_text(report))
+    _print_output(args.format, json=report.to_payload(), text=_report_lines(report))
     print(
         f"verified k_max={report.k_max} rank={report.rank} in {report.seconds:.3f}s",
         file=sys.stderr,

@@ -415,7 +415,7 @@ def dynkin_to_stable(labels: Labels, n: int) -> StableLabel:
 def _check_stable_range(k_max: int, n: int) -> None:
     """Refuse a power and rank outside the stable range 2*k_max <= n+1."""
     if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     _check_rank(n)
     if 2 * k_max > n + 1:
         raise ValueError(f"stable range requires 2*k_max <= n+1, got ({k_max}, {n})")

@@ -632,6 +632,27 @@ def test_request_above_cost_limit_exits_two(limit, template, capsys):
     assert f"<= {value})" in err
 
 
+# One request with a size argument below its bound, with the exact stderr
+# line.  ``series`` holds both arguments to their lower bound before either
+# to its cost limit, so its double fault names ``--order``.
+UNDERSIZED = [
+    ("table euler --max -1", "error: --max must be nonnegative, got -1"),
+    ("table derangement --max -1", "error: --max must be nonnegative, got -1"),
+    ("coeffs --k -1", "error: --k must be nonnegative, got -1"),
+    ("series --k -1 --order 4", "error: --k must be nonnegative, got -1"),
+    ("series --k 2 --order -1", "error: --order must be nonnegative, got -1"),
+    ("series --k 5000 --order -1", "error: --order must be nonnegative, got -1"),
+    ("verify combinatorics --max -1", "error: --max must be nonnegative, got -1"),
+    ("verify oracle --kmax -1 --n 3", "error: k_max must be >= 0, got -1"),
+    ("verify oracle --kmax 1 --n 0", "error: rank must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("command,message", UNDERSIZED, ids=[c for c, _ in UNDERSIZED])
+def test_request_below_its_bound_exits_two_with_its_message(command, message, capsys):
+    assert invoke(command.split(), capsys) == (2, "", message + "\n")
+
+
 # The README's cost-limit table, row by row: the argument cell and the
 # limits it lists, in order.
 README_LIMIT_ROWS = {
@@ -667,7 +688,8 @@ def test_help_exits_zero(capsys):
 
 
 # Exit code and stdout sha256 of every README command in every format, plus
-# the two one-row edge cases: stdout bytes are part of the CLI contract.
+# the smallest request of each command: stdout bytes are part of the CLI
+# contract.
 GOLDEN_DIGESTS = [
     ("table euler --max 9 --format markdown", 0, "c6aeed3500ecc495f14ea91cccaa3f71ae74cafa43f301bf8295d72fc7c2154e"),
     ("table euler --max 9 --format csv", 0, "9bbff5f1fdb83232d4ad9436d37eef9ee74e665eb0261324ca3448a343e6c2ea"),
@@ -697,6 +719,21 @@ GOLDEN_DIGESTS = [
     ("table euler --max 0 --format markdown", 0, "89375b54d35ed5b69e489616fd452c415082878f74be4d85cf3258766e6a97a4"),
     ("table euler --max 0 --format csv", 0, "8d66c089414bb76bc2ee5c11465c93257821752b4e08be4f1d70737b9fa10f0c"),
     ("table euler --max 0 --format json", 0, "a61fe1b9d00b2bda3d9cc5c953c3c416faddc06184c9b4bb47ced2cbb52b2a38"),
+    ("table derangement --max 0 --format markdown", 0, "0e81de6fafd38d1bdca0e5af80f7c3fb570be6aa952e1afcfc429fc50c36d862"),
+    ("table derangement --max 0 --format csv", 0, "8d66c089414bb76bc2ee5c11465c93257821752b4e08be4f1d70737b9fa10f0c"),
+    ("table derangement --max 0 --format json", 0, "f0f936fc0aa7d44d7fe21b70638452d12a87b750778ae0a80244d2b93612b395"),
+    ("table higher --max 0 --format markdown", 0, "0766f79b1e200b3febc8a1d9ed7283e228b56eaa1cac7eae57a8880d8b6cd9b3"),
+    ("table higher --max 0 --format csv", 0, "8d66c089414bb76bc2ee5c11465c93257821752b4e08be4f1d70737b9fa10f0c"),
+    ("table higher --max 0 --format json", 0, "6a4d8cbed515eb4e0ba4a1e8865d80a89450e4957f16f652c04ccee301b7c3c6"),
+    ("series --k 0 --order 0 --format markdown", 0, "a449c57f6613d4b3ac3a56d2f7e8b54ce326ab778fc6f04b2f13b25b111e43a1"),
+    ("series --k 0 --order 0 --format csv", 0, "8d66c089414bb76bc2ee5c11465c93257821752b4e08be4f1d70737b9fa10f0c"),
+    ("series --k 0 --order 0 --format json", 0, "cdacc608b903ed3cf3b41d596c85bb4c3f11b97bb9a45ae046b67fad746fe4a1"),
+    # Unlike ``coeffs --k``, the CSV of ``coeffs --upto`` keeps the power: 1,0,1.
+    ("coeffs --upto 1 --format markdown", 0, "367f55954b0d767012521cc05ab4c92274b47c1530b68d1e2491c95ee8e2c082"),
+    ("coeffs --upto 1 --format csv", 0, "afe2d7dcf4f497d9e335c29551a11323e030c9fca063c483bfd720039d71f10f"),
+    ("coeffs --upto 1 --format json", 0, "2ab0bd009e10f7f91d0d7dbe0291d709067e430326c9bff1241450600384d067"),
+    ("verify oracle --kmax 0 --n 1 --format text", 0, "24360fd6e4be1c4e361ce73b0bb4518c46c3fcf1b6dcf7587605cae086af0514"),
+    ("verify oracle --kmax 0 --n 1 --format json", 0, "9bf402a6b42b86256d88c46fbeeb18058364901f19d242093b8d57abda3139c1"),
     # Values above CPython's 4,300-digit int-to-str default, and rows of
     # 122 and 151 cells, across several of the writers' 32-cell pieces.
     ("table derangement --max 2000 --format csv", 0, "99b1e0505609fef3b4c01f3b3d75c40642da6095ae1491157f465745e583fc80"),
@@ -712,3 +749,20 @@ def test_stdout_is_byte_identical_to_golden(command, exit_code, digest, capsys):
     code, out, _ = invoke(command.split(), capsys)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_readme_commands_have_golden_digests():
+    # Every command of the README's CLI block, in every format its
+    # ``[--format ...]`` lists (``...`` standing for TABLE_FORMATS).
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("```sh", lines.index("## CLI")) + 1
+    block = lines[start : lines.index("```", start)]
+    assert block
+    golden = {command for command, _, _ in GOLDEN_DIGESTS}
+    expected = set()
+    for line in block:
+        command, formats = line.split("#")[0].removeprefix("adjoint-powers ").split(" [--format ")
+        formats = formats.strip().removesuffix("]")
+        for fmt in cli.TABLE_FORMATS if formats == "..." else formats.split("|"):
+            expected.add(f"{command} --format {fmt}")
+    assert expected <= golden, sorted(expected - golden)
