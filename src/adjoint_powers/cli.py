@@ -26,6 +26,7 @@ import os
 import sys
 from contextlib import contextmanager
 from itertools import chain, islice
+from operator import mul
 
 from . import coefficients, combinatorics, lie
 from .combinatorics import ExactDivisionError
@@ -45,7 +46,8 @@ TABLE_LIMIT = 1300
 #: Largest ``table derangement --max``: one column, so far longer than the
 #: triangles.  ``--format json``, the slowest, prints 1.2 GB in 6.6-8.7 s.
 DERANGEMENT_TABLE_LIMIT = 25000
-#: Largest ``coeffs --k``: rows 0..k of the higher derangements, O(k^2) big-integer steps.
+#: Largest ``coeffs --k``: the last of rows 0..k of the one closed-form body,
+#: which ``coeffs --upto`` prints; O(k^2) big-integer steps.
 COEFFS_K_LIMIT = 3000
 #: Largest ``coeffs --upto``: streamed row by row like the tables.  ``--format
 #: json``, the slowest, prints 700 MB in 6.6-9 s.
@@ -112,17 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_sizes(lowest: int | None = 0, **sizes: tuple[int, int]) -> None:
-    """Refuse a size argument, given as ``name=(value, limit)``, below
-    ``lowest`` or above its cost limit.  Every argument is held to
-    ``lowest`` before any to its limit, so a request with both faults names
-    the low one.  ``lowest=None`` leaves low values to the library's checks."""
-    if lowest is not None:
-        for name, (value, _) in sizes.items():
-            if value < lowest:
-                bound = f">= {lowest}" if lowest else "nonnegative"
-                raise ValueError(f"--{name} must be {bound}, got {value}")
-    for name, (value, limit) in sizes.items():
+def _require_sizes(**sizes: tuple[int, int, int]) -> None:
+    """Refuse a size argument, given as ``name=(lowest, value, limit)``,
+    below its lowest value or above its cost limit.  Every argument is held
+    to its lowest value before any to its limit, so a request with both
+    faults names the low one."""
+    for name, (lowest, value, _) in sizes.items():
+        if value < lowest:
+            bound = f">= {lowest}" if lowest else "nonnegative"
+            raise ValueError(f"--{name} must be {bound}, got {value}")
+    for name, (_, value, limit) in sizes.items():
         if value > limit:
             raise ValueError(f"--{name} {value} exceeds the cost limit (--{name} <= {limit})")
 
@@ -201,7 +202,7 @@ def _exact_decimals():
 
 def _cmd_table(args) -> int:
     limit = DERANGEMENT_TABLE_LIMIT if args.which == "derangement" else TABLE_LIMIT
-    _require_sizes(max=(args.max, limit))
+    _require_sizes(max=(0, args.max, limit))
     with _exact_decimals() as one:
         if args.which == "derangement":
             values = map(str, islice(combinatorics._derangement_numbers(one), args.max + 1))
@@ -218,7 +219,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     if args.k is not None:
-        _require_sizes(k=(args.k, COEFFS_K_LIMIT))
+        _require_sizes(k=(0, args.k, COEFFS_K_LIMIT))
         row = coefficients.coefficient_row(args.k)
         values = [str(v) for v in row.values]
         header = ["k"] + [f"j={j}" for j in range(len(values))]
@@ -230,10 +231,10 @@ def _cmd_coeffs(args) -> int:
             markdown=(header, [[str(row.power), *values]]),
         )
         return 0
-    _require_sizes(1, upto=(args.upto, COEFFS_UPTO_LIMIT))
-    # The closed form on Decimal, as ``table`` prints its kernels.
+    _require_sizes(upto=(1, args.upto, COEFFS_UPTO_LIMIT))
+    # The closed form on Decimal, as ``table`` prints its kernels, from power 1.
     with _exact_decimals() as one:
-        rows = coefficients._closed_form_rows(args.upto, one)
+        rows = islice(coefficients._closed_form_rows(args.upto, one), 1, None)
         _print_numbered_rows(
             args.format, "max_power", args.upto, rows, "k", "coefficients", "j", start=1
         )
@@ -241,7 +242,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    _require_sizes(k=(args.k, SERIES_K_LIMIT), order=(args.order, SERIES_ORDER_LIMIT))
+    _require_sizes(k=(0, args.k, SERIES_K_LIMIT), order=(0, args.order, SERIES_ORDER_LIMIT))
     series = combinatorics.egf_coefficients(args.k, args.order)
     values = [str(c) for c in series.coefficients]
     payload = {"k": series.parameter, "order": series.order, "coefficients": values}
@@ -336,13 +337,15 @@ def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
         binomials, derangements = binomial_rows(limit), derangement_list(limit)
         rows = zip(
             range(1, limit + 1),
-            coefficients._closed_form_rows(limit, 1),  # what ``coeffs --upto`` prints
+            # What ``coeffs --upto`` prints, from power 1.
+            islice(coefficients._closed_form_rows(limit, 1), 1, None),
             coefficients.decomposition_rows(limit),
             islice(table_route(limit), 1, None),
             strict=True,
         )
         for k, upto_row, recurrence_row, table_row in rows:
-            closed_row = coefficients._closed_form_row(k, table_row)
+            # The closed form weighted by math.comb, not the printed Pascal rows.
+            closed_row = map(mul, binomials[k], table_row)
             printed = coefficients.coefficient_row(k).values  # what ``coeffs --k`` prints
             entries = zip(
                 range(k + 1), upto_row, printed, closed_row, recurrence_row.values, strict=True
@@ -363,7 +366,7 @@ def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
 
 
 def _cmd_verify_combinatorics(args) -> int:
-    _require_sizes(max=(args.max, COMBINATORICS_LIMIT))
+    _require_sizes(max=(0, args.max, COMBINATORICS_LIMIT))
     checks = _combinatorics_checks(args.max)
     passed = all(ok for _, ok, _ in checks)
     payload = {
@@ -412,8 +415,7 @@ def _label_text(label: lie.StableLabel) -> str:
 
 
 def _cmd_verify_oracle(args) -> int:
-    # Negative and out-of-range values are refused by lie, with its messages.
-    _require_sizes(None, kmax=(args.kmax, ORACLE_KMAX_LIMIT), n=(args.n, ORACLE_RANK_LIMIT))
+    _require_sizes(kmax=(0, args.kmax, ORACLE_KMAX_LIMIT), n=(1, args.n, ORACLE_RANK_LIMIT))
     report = lie.verify_stable_decomposition(args.kmax, args.n)
     _print_output(args.format, json=report.to_payload(), text=_report_lines(report))
     print(

@@ -15,20 +15,20 @@ power k is computed by three independent routes:
 
 All three must agree entry for entry; every division is exact and
 checked.  Each route has one public function, and none takes a
-route-selecting argument.  The closed form and the contraction count
-each have one private body, :func:`_closed_form_row` and
+route-selecting argument.  The closed form has one body,
+:func:`_closed_form_rows`, and the contraction count one,
 :func:`_contraction`, which ``verify combinatorics`` sweeps as a whole
 table.
 
-What the CLI prints: ``coeffs --k`` prints :func:`coefficient_row`, the
-closed form for one whole row from the last row of
-:func:`higher_derangement_rows` (which ``table higher`` prints), on
-``int``; :func:`coefficient` reads the same row.  ``coeffs --upto``
-prints :func:`_closed_form_rows`, the closed form for every power from
-one pass of the higher-derangement kernel, which never divides, run on
-``decimal.Decimal`` in the CLI's exact context like the ``table``
-kernels.  The recurrence, :func:`decomposition_rows`, is the route
-``verify combinatorics`` and the tests compare those rows with.
+What the CLI prints: :func:`_closed_form_rows` gives the closed form for
+every power from one pass of the higher-derangement kernel (which
+``table higher`` prints), each row weighted by a Pascal row kept beside
+it, so nothing divides.  ``coeffs --upto`` prints its rows 1..K on
+``decimal.Decimal`` in the CLI's exact context, like the ``table``
+kernels; :func:`coefficient_row`, which ``coeffs --k`` prints, is its
+last row on ``int``, and :func:`coefficient` reads one entry of that.
+The recurrence, :func:`decomposition_rows`, is the route ``verify
+combinatorics`` and the tests compare those rows with.
 """
 
 from __future__ import annotations
@@ -38,15 +38,8 @@ from collections.abc import Iterator
 from itertools import islice, repeat
 from operator import add, mul
 
-from .combinatorics import (
-    _binomial_row,
-    _higher_derangement_rows,
-    binomial,
-    derangement_numbers,
-    exact_div,
-    factorial,
-    higher_derangement_rows,
-)
+from . import combinatorics
+from .combinatorics import _binomial_row, binomial, derangement_numbers, exact_div, factorial
 
 # Unused here, but kept bound: perfbench/run.py traces coefficients.canonical_json.
 from .serialize import canonical_json
@@ -88,12 +81,6 @@ def coefficient(k: int, j: int) -> int:
     return coefficient_row(k).values[j]
 
 
-def _closed_form_row(k: int, higher_row: tuple[int, ...]) -> tuple[int, ...]:
-    """The closed form, one whole row: C(k, j) * d_k^j for j = 0..k, from
-    row k of the higher derangements."""
-    return tuple(binomial(k, j) * d for j, d in enumerate(higher_row))
-
-
 def coefficient_by_contraction(k: int, p: int) -> int:
     """Block coefficient by counting contraction patterns directly.
 
@@ -119,40 +106,40 @@ def _contraction(k: int, binomials: list[int], derangements: list[int]) -> int:
 def coefficient_row(k: int) -> CoefficientRow:
     """One full row (c_0^k, ..., c_k^k) by the closed form; k = 0 gives (1,).
 
-    d_k^j is read from the last row of :func:`higher_derangement_rows`,
-    which holds one row of the table at a time and never divides, and
-    weighted by C(k, j).
+    The last row of :func:`_closed_form_rows` on ``int``, the rows
+    ``coeffs --upto`` prints.
     """
     if k < 0:
         raise ValueError("coefficient_row requires k >= 0")
-    for row in higher_derangement_rows(k):
+    for row in _closed_form_rows(k, 1):
         pass
-    return CoefficientRow(k, _closed_form_row(k, row))
+    return CoefficientRow(k, tuple(row))
 
 
 def _closed_form_rows(max_power: int, one) -> Iterator[Iterator]:
-    """The closed form C(k, j) * d_k^j for the powers k = 1..max_power, in
+    """The closed form C(k, j) * d_k^j for the powers k = 0..max_power, in
     the number type of ``one``, one row at a time.
 
-    d_k^j comes from one pass of :func:`_higher_derangement_rows`, which
-    never divides, and C(k, j) from a Pascal row kept beside it.  Each row
-    is a lazy ``map`` of their products, so no row is held in two forms.
-    The argument is checked at the call, before the first row is asked for.
+    d_k^j comes from one pass of the higher-derangement kernel, which never
+    divides, and C(k, j) from a Pascal row kept beside it.  The kernel is
+    looked up on :mod:`combinatorics` at the call, so ``table higher``,
+    both ``coeffs`` forms and the oracle all read the one kernel there.
+    Each row is a lazy ``map`` of their products, so no row is held in two
+    forms, and a row that is skipped is never multiplied.  The caller
+    checks ``max_power``.
     """
-    if max_power < 1:
-        raise ValueError("max_power must be >= 1")
-    higher_rows = islice(_higher_derangement_rows(max_power, one), 1, None)
+    higher_rows = combinatorics._higher_derangement_rows(max_power, one)
     return map(map, repeat(mul), _pascal_rows(one), higher_rows)
 
 
 def _pascal_rows(one) -> Iterator[list]:
-    """C(k, 0..k) for k = 1, 2, ... without end, in the number type of
+    """C(k, 0..k) for k = 0, 1, ... without end, in the number type of
     ``one``: each row a new list, the sums of adjacent entries of the row
     before between two ones."""
     row = [one]
     while True:
-        row = [one, *map(add, row, row[1:]), one]
         yield row
+        row = [one, *map(add, row, row[1:]), one]
 
 
 def decomposition_table(max_power: int) -> DecompositionTable:

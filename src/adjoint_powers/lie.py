@@ -574,19 +574,20 @@ def _certified_powers(k_max: int, n: int):
             label, dim = measured[lab]
             stable[label] = m
             dimension += m * dim
-        block = dict(stable)
-        # c_k^p for each earlier block p < k, from the row coeffs --k prints.
+        trivial = stable.get(StableLabel((), ()), 0)
+        # Block k is the power less c_k^p times each earlier block p < k,
+        # from the row coeffs --k prints, subtracted in place.
         for c, earlier in zip(coefficient_row(k).values, blocks):
             for lab, m in earlier.items():
-                block[lab] = block.get(lab, 0) - c * m
-        block = {lab: m for lab, m in block.items() if m}
+                stable[lab] = stable.get(lab, 0) - c * m
+        block = {lab: m for lab, m in stable.items() if m}
         blocks.append(block)
         check = PowerCheck(
             power=k,
             dimension_expected=adjoint_dim**k,
             dimension_observed=dimension,
             trivial_expected=derangement(k),
-            trivial_observed=stable.get(StableLabel((), ()), 0),
+            trivial_observed=trivial,
             leading_ok=block.get(leading_block_label(k), 0) == 1,
             negative_entries={lab: m for lab, m in block.items() if m < 0},
             residual={lab: (0, m) for lab, m in block.items() if sum(lab.left) != k},

@@ -85,13 +85,14 @@ def test_decimal_rows_print_as_the_int_rows(size):
         )
 
 
-# ``coeffs --upto`` prints the closed form's Decimal rows: every digit must
-# be the recurrence's.
+# ``coeffs --upto`` prints the closed form's Decimal rows from power 1:
+# every digit must be the recurrence's.
 @settings(max_examples=25, deadline=None)
 @given(size=st.integers(1, 60))
 def test_decimal_closed_form_rows_print_as_the_recurrence_rows(size):
     with localcontext(cli._exact_context()):
-        closed_form = printed(cli.coefficients._closed_form_rows(size, Decimal(1)))
+        rows = cli.coefficients._closed_form_rows(size, Decimal(1))
+        closed_form = printed(islice(rows, 1, None))
     assert closed_form == printed(row.values for row in decomposition_rows(size))
 
 
@@ -253,6 +254,14 @@ def bump_alternating_route(original):
     return planted
 
 
+def bump_pascal_row(original):
+    def planted(one):
+        for row in original(one):
+            yield [row[0], row[1] + 1, *row[2:]] if len(row) == 4 else row
+
+    return planted
+
+
 def bump_higher_kernel(original):
     def planted(max_index, one):
         for row in original(max_index, one):
@@ -274,8 +283,8 @@ def drop_a_derangement(original):
 
 # (module, route body, planted wrong entry, FAIL lines of ``verify combinatorics --max 4``).
 # The table route also feeds the closed-form coefficients; the higher-derangement
-# kernel feeds the series check and the row ``coeffs --k`` prints; the block
-# builder feeds the enumeration oracle.
+# kernel feeds the series check and the rows ``coeffs --k`` and ``coeffs --upto``
+# print, which the Pascal rows weight; the block builder feeds the enumeration oracle.
 PLANTED_ROUTES = [
     pytest.param(
         "combinatorics", "_alternating_derangements", bump_alternating_route,
@@ -298,6 +307,11 @@ PLANTED_ROUTES = [
             "FAIL coefficient routes agree (0..4): (k,j)=(3,1)",
         ],
         id="higher",
+    ),
+    pytest.param(
+        "coefficients", "_pascal_rows", bump_pascal_row,
+        ["FAIL coefficient routes agree (0..4): (k,j)=(3,1)"],
+        id="pascal",
     ),
     pytest.param(
         "combinatorics", "_recurrence_columns", bump_recurrence_route,
@@ -391,7 +405,7 @@ def test_verify_combinatorics_checks_the_printed_coefficient_rows(capsys, monkey
     closed_form_rows = cli.coefficients._closed_form_rows
 
     def off_by_one(max_power, one):
-        for k, row in enumerate(closed_form_rows(max_power, one), start=1):
+        for k, row in enumerate(closed_form_rows(max_power, one)):
             values = list(row)
             if k == 3:
                 values[2] += 1
@@ -403,6 +417,17 @@ def test_verify_combinatorics_checks_the_printed_coefficient_rows(capsys, monkey
     failures = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert failures == ["FAIL coefficient routes agree (0..4): (k,j)=(3,2)"]
     assert out.splitlines()[-1] == "result: FAIL"
+
+
+def test_coeffs_k_prints_the_last_row_of_coeffs_upto(capsys):
+    # One closed-form body prints both forms; the CSV of ``coeffs --upto``
+    # leads each row with its power, which ``coeffs --k`` leaves out.
+    for k in range(1, 41):
+        _, single, _ = invoke(["coeffs", "--k", str(k), "--format", "csv"], capsys)
+        _, rows, _ = invoke(["coeffs", "--upto", str(k), "--format", "csv"], capsys)
+        power, last = rows.splitlines()[-1].split(",", 1)
+        assert (power, single) == (str(k), last + "\n")
+    assert invoke(["coeffs", "--k", "0", "--format", "csv"], capsys) == (0, "1\n", "")
 
 
 def test_verify_oracle_passes(capsys):
@@ -524,21 +549,24 @@ def test_streamed_json_matches_json_dumps_at_scale(capsys):
     assert out == json.dumps(reference, indent=2, sort_keys=True) + "\n"
 
 
-# (command, row generator it draws from, module attribute, text of its first row);
-# the table and ``coeffs --upto`` commands draw from bodies run on Decimal.
+# (command, row generator it draws from, module attribute, text of its first
+# printed row, rows drawn); the table and ``coeffs --upto`` commands draw from
+# bodies run on Decimal, and ``coeffs --upto`` draws the power-0 row unprinted.
 STREAMED_COMMANDS = [
-    ("table euler --max 4 --format json", "combinatorics", "_euler_rows", '"k": 0\n    }'),
-    ("table higher --max 4 --format json", "combinatorics", "_higher_derangement_rows", '"n": 0\n    }'),
-    ("coeffs --upto 5 --format json", "coefficients", "_closed_form_rows", '"k": 1\n    }'),
-    ("table euler --max 4 --format csv", "combinatorics", "_euler_rows", "0,1\n"),
-    ("coeffs --upto 5 --format markdown", "coefficients", "_closed_form_rows", "| 1 | 0 | 1 |\n"),
+    ("table euler --max 4 --format json", "combinatorics", "_euler_rows", '"k": 0\n    }', 5),
+    ("table higher --max 4 --format json", "combinatorics", "_higher_derangement_rows", '"n": 0\n    }', 5),
+    ("coeffs --upto 5 --format json", "coefficients", "_closed_form_rows", '"k": 1\n    }', 6),
+    ("table euler --max 4 --format csv", "combinatorics", "_euler_rows", "0,1\n", 5),
+    ("coeffs --upto 5 --format markdown", "coefficients", "_closed_form_rows", "| 1 | 0 | 1 |\n", 6),
 ]
 
 
 @pytest.mark.parametrize(
-    "command,module,name,first_row", STREAMED_COMMANDS, ids=[c[0] for c in STREAMED_COMMANDS]
+    "command,module,name,first_row,drawn", STREAMED_COMMANDS, ids=[c[0] for c in STREAMED_COMMANDS]
 )
-def test_rows_are_written_before_the_last_is_drawn(command, module, name, first_row, monkeypatch):
+def test_rows_are_written_before_the_last_is_drawn(
+    command, module, name, first_row, drawn, monkeypatch
+):
     out = io.StringIO()
     written_before = {}
     rows = getattr(getattr(cli, module), name)
@@ -557,7 +585,7 @@ def test_rows_are_written_before_the_last_is_drawn(command, module, name, first_
     monkeypatch.setattr(sys, "stdout", out)
     assert run(command.split()) == 0
     last = max(written_before)
-    assert last == 5  # every command above prints five rows
+    assert last == drawn
     assert first_row in written_before[last]
     assert out.getvalue().startswith(written_before[last])
     assert first_row not in written_before[1]
@@ -643,8 +671,11 @@ UNDERSIZED = [
     ("series --k 2 --order -1", "error: --order must be nonnegative, got -1"),
     ("series --k 5000 --order -1", "error: --order must be nonnegative, got -1"),
     ("verify combinatorics --max -1", "error: --max must be nonnegative, got -1"),
-    ("verify oracle --kmax -1 --n 3", "error: k_max must be >= 0, got -1"),
-    ("verify oracle --kmax 1 --n 0", "error: rank must be >= 1, got 0"),
+    ("verify oracle --kmax -1 --n 3", "error: --kmax must be nonnegative, got -1"),
+    ("verify oracle --kmax 1 --n 0", "error: --n must be >= 1, got 0"),
+    # A low value is named before another argument's cost limit.
+    ("verify oracle --kmax -1 --n 500", "error: --kmax must be nonnegative, got -1"),
+    ("verify oracle --kmax 20 --n 0", "error: --n must be >= 1, got 0"),
 ]
 
 
