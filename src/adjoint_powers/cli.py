@@ -56,8 +56,8 @@ COEFFS_UPTO_LIMIT = 1100
 SERIES_K_LIMIT = 1000
 #: Largest ``series --order``.
 SERIES_ORDER_LIMIT = 2500
-#: Largest ``verify combinatorics --max``: the closed-form and contraction
-#: routes sum O(max) products per entry, O(max^3) big-integer steps in all.
+#: Largest ``verify combinatorics --max``: the sum formula of the higher
+#: derangements adds O(max) products per entry, O(max^3) big-integer steps in all.
 COMBINATORICS_LIMIT = 300
 #: Largest ``verify oracle --kmax``: the irreps roughly double with each power.
 #: ``verify oracle --kmax 16 --n 200``, the largest request, takes about 8.5 s
@@ -295,16 +295,14 @@ def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
         """Rows of the ``table`` route: the difference table divided by k!."""
         return map(combinatorics._table_route_row, combinatorics.euler_rows(max_index))
 
-    def derangement_list(max_index: int) -> list[int]:
-        return list(islice(combinatorics.derangement_numbers(), max_index + 1))
-
     def binomial_rows(max_index: int) -> list[list[int]]:
         return [combinatorics._binomial_row(k) for k in range(max_index + 1)]
 
     def higher_routes() -> None:
         printed_rows = combinatorics.higher_derangement_rows(limit)  # what ``table higher`` prints
         columns = list(combinatorics._recurrence_columns(limit))
-        binomials, derangements = binomial_rows(limit), derangement_list(limit)
+        binomials = binomial_rows(limit)
+        derangements = list(islice(combinatorics.derangement_numbers(), limit + 1))
         rows = zip(range(limit + 1), printed_rows, table_route(limit), strict=True)
         for n, printed_row, table_row in rows:
             for k, printed, table in zip(range(n + 1), printed_row, table_row, strict=True):
@@ -332,27 +330,24 @@ def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
                     raise AssertionError(f"(k,m)=({k},{m})")
 
     def coefficient_routes() -> None:
-        if limit < 1:
-            return
-        binomials, derangements = binomial_rows(limit), derangement_list(limit)
+        binomials = binomial_rows(limit)
+        # The recurrence starts at power 1: its seed (1,) is not one of its rows.
+        recurrence_rows = coefficients.decomposition_rows(limit) if limit else ()
         rows = zip(
-            range(1, limit + 1),
-            # What ``coeffs --upto`` prints, from power 1.
-            islice(coefficients._closed_form_rows(limit, 1), 1, None),
-            coefficients.decomposition_rows(limit),
-            islice(table_route(limit), 1, None),
+            range(limit + 1),
+            coefficients._closed_form_rows(limit, 1),  # what both ``coeffs`` forms print
+            table_route(limit),
+            chain([None], recurrence_rows),
             strict=True,
         )
-        for k, upto_row, recurrence_row, table_row in rows:
+        for k, printed_row, table_row, recurrence_row in rows:
             # The closed form weighted by math.comb, not the printed Pascal rows.
-            closed_row = map(mul, binomials[k], table_row)
-            printed = coefficients.coefficient_row(k).values  # what ``coeffs --k`` prints
-            entries = zip(
-                range(k + 1), upto_row, printed, closed_row, recurrence_row.values, strict=True
-            )
-            for j, upto, value, closed, recurrence in entries:
-                contraction = coefficients._contraction(k, binomials[j], derangements)
-                if not upto == closed == contraction == recurrence == value:
+            closed_row = list(map(mul, binomials[k], table_row))
+            # Power 0's printed row is compared with the closed form alone.
+            recurrence_values = recurrence_row.values if k else closed_row
+            entries = zip(range(k + 1), printed_row, closed_row, recurrence_values, strict=True)
+            for j, printed, closed, recurrence in entries:
+                if not printed == closed == recurrence:
                     raise AssertionError(f"(k,j)=({k},{j})")
 
     record(f"derangement routes agree (0..{limit})", derangement_routes)

@@ -3,12 +3,14 @@
 In the stable range the k-th tensor power of the A-series adjoint
 representation splits into rank-independent blocks, one block per number
 of uncontracted index pairs.  The integer coefficient of block j in
-power k is computed by three independent routes:
+power k is computed by three routes:
 
 * the closed form C(k, j) * d_k^j: :func:`coefficient_row` for one row,
   and :func:`coefficient` for one entry of it,
 * :func:`coefficient_by_contraction`: counting contraction patterns
-  directly, C(k, p) * (1/p!) * sum_l C(p, l) d_{k-l},
+  directly, C(k, p) * (1/p!) * sum_l C(p, l) d_{k-l}, which is C(k, p)
+  times the sum formula of d_k^p, so it reads the one body of that sum,
+  :func:`combinatorics._closed_form`,
 * :func:`decomposition_rows`: the two-term recurrence
   c_{j+1}^k = ((k-j) c_j^k + k c_j^{k-1}) / (j+1)^2 seeded by c_0^k = d_k,
   one row at a time; :func:`decomposition_table` keeps every row.
@@ -16,9 +18,7 @@ power k is computed by three independent routes:
 All three must agree entry for entry; every division is exact and
 checked.  Each route has one public function, and none takes a
 route-selecting argument.  The closed form has one body,
-:func:`_closed_form_rows`, and the contraction count one,
-:func:`_contraction`, which ``verify combinatorics`` sweeps as a whole
-table.
+:func:`_closed_form_rows`.
 
 What the CLI prints: :func:`_closed_form_rows` gives the closed form for
 every power from one pass of the higher-derangement kernel (which
@@ -27,8 +27,9 @@ it, so nothing divides.  ``coeffs --upto`` prints its rows 1..K on
 ``decimal.Decimal`` in the CLI's exact context, like the ``table``
 kernels; :func:`coefficient_row`, which ``coeffs --k`` prints, is its
 last row on ``int``, and :func:`coefficient` reads one entry of that.
-The recurrence, :func:`decomposition_rows`, is the route ``verify
-combinatorics`` and the tests compare those rows with.
+``verify combinatorics`` compares those rows, from power 0, with the
+recurrence :func:`decomposition_rows` and with the difference table
+divided by j!, weighted by ``math.comb``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from itertools import islice, repeat
 from operator import add, mul
 
 from . import combinatorics
-from .combinatorics import _binomial_row, binomial, derangement_numbers, exact_div, factorial
+from .combinatorics import _binomial_row, binomial, derangement_numbers, exact_div
 
 # Unused here, but kept bound: perfbench/run.py traces coefficients.canonical_json.
 from .serialize import canonical_json
@@ -86,21 +87,14 @@ def coefficient_by_contraction(k: int, p: int) -> int:
 
     C(k, p) choices of the uncontracted factors, 1/p! for their order,
     and sum_l C(p, l) d_{k-l} contraction patterns on the rest.  The
-    division by p! must be exact; a remainder would falsify the
-    equivalence with the closed form.
+    last two are the sum formula of d_k^p, :func:`combinatorics._closed_form`,
+    looked up at the call; its division by p! must be exact, and a
+    remainder would falsify the equivalence with the closed form.
     """
     if k < 0 or p < 0 or p > k:
         raise ValueError(f"coefficient requires 0 <= p <= k, got ({k}, {p})")
-    return _contraction(k, _binomial_row(p), list(islice(derangement_numbers(), k + 1)))
-
-
-def _contraction(k: int, binomials: list[int], derangements: list[int]) -> int:
-    """The contraction count, one entry: C(k, p) (1/p!) sum_l C(p, l) d_{k-l},
-    where ``binomials`` is the row C(p, 0..p) and ``derangements`` holds
-    d_0..d_k (or more)."""
-    p = len(binomials) - 1
-    total = sum(map(mul, binomials, reversed(derangements[k - p : k + 1])))
-    return binomial(k, p) * exact_div(total, factorial(p))
+    derangements = list(islice(derangement_numbers(), k + 1))
+    return binomial(k, p) * combinatorics._closed_form(k, _binomial_row(p), derangements)
 
 
 def coefficient_row(k: int) -> CoefficientRow:

@@ -32,7 +32,8 @@ mean part into a pair [lambda, mu] of partitions, for the oracle's
 labels exactly the stable pair.  The dimension is Weyl's product in
 factored form, D_lambda(N) D_mu(N) times one small cross factor per
 row of lambda and row of mu (N = n + 1), where D(N) is Weyl's product
-over pairs of runs for one partition alone; the oracle computes D(N)
+for one partition alone: per row, one falling-factorial ratio against
+the zero rows and one factor per later row; the oracle computes D(N)
 once per partition for its rank and keeps it for the run, and measures
 its own step's labels without validating them again.  A label and its
 dual (the reversed labels) share one measurement: the dual has the
@@ -46,8 +47,8 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from itertools import chain, compress, groupby, repeat
-from math import perm, prod
+from itertools import chain, compress, repeat
+from math import factorial, perm, prod
 from operator import ge
 
 from .coefficients import coefficient_row
@@ -120,47 +121,25 @@ def _runs(labels: Labels, n: int) -> list[tuple[int, int, int]]:
     return runs
 
 
-def _run_dimension(runs: list[tuple[int, int, int]]) -> int:
-    """Weyl's product over i < j of (l_i - l_j + j - i) / (j - i) on the
-    parts l given as runs of equal parts, (first row, row after the last,
-    part), top row first.
-
-    A pair inside one run contributes 1, so the product is taken over
-    pairs of runs.  For runs A above B with part difference d, the
-    factors of one row of the shorter run against the whole longer run
-    are a ratio of falling factorials (math.perm), so a huge part costs
-    no more than a small one; the single division at the end is exact
-    and checked.
-    """
-    numerator = 1
-    denominator = 1
-    for x, (a0, a1, high) in enumerate(runs):
-        for b0, b1, low in runs[x + 1 :]:
-            d = high - low
-            if a1 - a0 <= b1 - b0:
-                length = b1 - b0
-                for i in range(a0, a1):
-                    numerator *= perm(d + b1 - 1 - i, length)
-                    denominator *= perm(b1 - 1 - i, length)
-            else:
-                length = a1 - a0
-                for j in range(b0, b1):
-                    numerator *= perm(d + j - a0, length)
-                    denominator *= perm(j - a0, length)
-    return exact_div(numerator, denominator)
-
-
 def _partition_dimension(parts: tuple[int, ...], rows: int) -> int:
-    """D_lambda(N): Weyl's product for the partition lambda padded with
-    zeros to N = rows rows, the dimension of its irreducible of gl_N."""
-    runs = []
-    start = 0
-    for part, run in groupby(parts):
-        end = start + sum(1 for _ in run)
-        runs.append((start, end, part))
-        start = end
-    runs.append((start, rows, 0))
-    return _run_dimension(runs)
+    """D_lambda(N): Weyl's product over i < j of (l_i - l_j + j - i) / (j - i)
+    for the partition lambda padded with zeros to N = rows rows, the
+    dimension of its irreducible of gl_N.
+
+    Row i of lambda meets the N - len(lambda) zero rows in one ratio of
+    falling factorials (math.perm), so a huge part costs no more than a
+    small one, and each later row j of lambda in one factor, the
+    difference of the shifted parts l_i - i and l_j - j.  The
+    denominators j - i of row i, over all later rows, multiply to
+    (N - 1 - i)!.  The single division is exact and checked.
+    """
+    zeros = rows - len(parts)
+    shifted = [part - i for i, part in enumerate(parts)]
+    numerator = denominator = 1
+    for i, top in enumerate(shifted):
+        numerator *= perm(top + rows - 1, zeros) * prod(map(top.__sub__, shifted[i + 1 :]))
+        denominator *= factorial(rows - 1 - i)
+    return exact_div(numerator, denominator)
 
 
 def _split(labels: Labels, n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -233,8 +212,9 @@ def weyl_dimension(labels: Labels, n: int) -> int:
     every pair with a mu row; and the pair of lambda row i and mu row j,
     whose true factor is (d + lambda_i + mu_j) / d, is counted by both,
     as (d + lambda_i) / d and (d + mu_j) / d, which the cross factor
-    corrects.  Each D is a product over pairs of runs of equal parts
-    (:func:`_run_dimension`); the division is exact and checked.
+    corrects.  Each D is one falling-factorial ratio per row against the
+    zero rows, and one factor per pair of rows of its partition
+    (:func:`_partition_dimension`); the division is exact and checked.
     """
     _check_rank(n)
     _check_labels(labels, n)

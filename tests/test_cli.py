@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adjoint_powers import (
-    CoefficientRow,
     PowerCheck,
     VerificationReport,
     coefficient,
@@ -239,13 +238,6 @@ def bump_closed_form(original):
     return planted
 
 
-def bump_contraction(original):
-    def planted(k, binomials, derangements):
-        return original(k, binomials, derangements) + ((k, len(binomials) - 1) == (4, 2))
-
-    return planted
-
-
 def bump_alternating_route(original):
     def planted():
         for k, value in enumerate(original()):
@@ -282,9 +274,11 @@ def drop_a_derangement(original):
 
 
 # (module, route body, planted wrong entry, FAIL lines of ``verify combinatorics --max 4``).
-# The table route also feeds the closed-form coefficients; the higher-derangement
-# kernel feeds the series check and the rows ``coeffs --k`` and ``coeffs --upto``
-# print, which the Pascal rows weight; the block builder feeds the enumeration oracle.
+# The table route also feeds the closed form weighted by math.comb; the
+# higher-derangement kernel feeds the series check and the rows ``coeffs --k`` and
+# ``coeffs --upto`` print, which the Pascal rows weight; the block builder feeds the
+# enumeration oracle.  The sum formula is swept once, as a higher-derangement route:
+# the coefficient routes compare no contraction sum of their own.
 PLANTED_ROUTES = [
     pytest.param(
         "combinatorics", "_alternating_derangements", bump_alternating_route,
@@ -324,11 +318,6 @@ PLANTED_ROUTES = [
         id="closed_form",
     ),
     pytest.param(
-        "coefficients", "_contraction", bump_contraction,
-        ["FAIL coefficient routes agree (0..4): (k,j)=(4,2)"],
-        id="contraction",
-    ),
-    pytest.param(
         "combinatorics", "_permutation_blocks", drop_a_derangement,
         ["FAIL enumeration oracle matches (0..4): k=4"],
         id="enumeration",
@@ -346,41 +335,44 @@ def test_planted_wrong_entry_fails_its_route(module, name, plant, failures, caps
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == failures
 
 
-def test_verify_combinatorics_checks_the_printed_coefficient_row(capsys, monkeypatch):
-    # The row ``coeffs --k`` prints is one of the routes compared.
-    coefficient_row = cli.coefficients.coefficient_row
+def test_verify_combinatorics_checks_the_printed_coefficient_rows(capsys, monkeypatch):
+    # The rows ``coeffs --upto`` and ``coeffs --k`` print are one of the routes compared.
+    closed_form_rows = cli.coefficients._closed_form_rows
 
-    def off_by_one(k):
-        row = coefficient_row(k)
-        if k != 3:
-            return row
-        return CoefficientRow(k, (*row.values[:2], row.values[2] + 1, *row.values[3:]))
+    def off_by_one(max_power, one):
+        for k, row in enumerate(closed_form_rows(max_power, one)):
+            values = list(row)
+            if k == 3:
+                values[2] += 1
+            yield iter(values)
 
-    monkeypatch.setattr("adjoint_powers.cli.coefficients.coefficient_row", off_by_one)
+    monkeypatch.setattr("adjoint_powers.cli.coefficients._closed_form_rows", off_by_one)
     code, out, _ = invoke(["verify", "combinatorics", "--max", "4"], capsys)
     assert code == 1
     failures = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert failures == ["FAIL coefficient routes agree (0..4): (k,j)=(3,2)"]
+    assert out.splitlines()[-1] == "result: FAIL"
 
 
 # The planted fault of the test above, in a child run under ``python -O``,
 # which strips assert statements: the checks must still fail there.
 PLANT_AND_VERIFY_UNDER_O = """
 import sys
-from adjoint_powers import CoefficientRow, cli
+from adjoint_powers import cli
 
 assert False, "-O is not in effect"
-coefficient_row = cli.coefficients.coefficient_row
+closed_form_rows = cli.coefficients._closed_form_rows
 
 
-def off_by_one(k):
-    row = coefficient_row(k)
-    if k != 3:
-        return row
-    return CoefficientRow(k, (*row.values[:2], row.values[2] + 1, *row.values[3:]))
+def off_by_one(max_power, one):
+    for k, row in enumerate(closed_form_rows(max_power, one)):
+        values = list(row)
+        if k == 3:
+            values[2] += 1
+        yield iter(values)
 
 
-cli.coefficients.coefficient_row = off_by_one
+cli.coefficients._closed_form_rows = off_by_one
 sys.exit(cli.run(["verify", "combinatorics", "--max", "4"]))
 """
 
@@ -400,23 +392,26 @@ def test_verify_combinatorics_fails_under_optimize():
     assert lines[-1] == "result: FAIL"
 
 
-def test_verify_combinatorics_checks_the_printed_coefficient_rows(capsys, monkeypatch):
-    # The rows ``coeffs --upto`` prints are one of the routes compared.
+def test_verify_combinatorics_checks_the_printed_power_zero_row(capsys, monkeypatch):
+    # ``coeffs --k 0`` prints row 0 of the closed-form body; the recurrence
+    # has no row 0, so the closed form alone is compared with it.
     closed_form_rows = cli.coefficients._closed_form_rows
 
-    def off_by_one(max_power, one):
-        for k, row in enumerate(closed_form_rows(max_power, one)):
-            values = list(row)
-            if k == 3:
-                values[2] += 1
-            yield iter(values)
+    def planted(max_power, one):
+        rows = closed_form_rows(max_power, one)
+        next(rows)
+        yield iter([2 * one])
+        yield from rows
 
-    monkeypatch.setattr("adjoint_powers.cli.coefficients._closed_form_rows", off_by_one)
+    monkeypatch.setattr(cli.coefficients, "_closed_form_rows", planted)
+    assert invoke(["coeffs", "--k", "0", "--format", "csv"], capsys) == (0, "2\n", "")
     code, out, _ = invoke(["verify", "combinatorics", "--max", "4"], capsys)
     assert code == 1
     failures = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert failures == ["FAIL coefficient routes agree (0..4): (k,j)=(3,2)"]
-    assert out.splitlines()[-1] == "result: FAIL"
+    assert failures == ["FAIL coefficient routes agree (0..4): (k,j)=(0,0)"]
+    code, out, _ = invoke(["verify", "combinatorics", "--max", "0"], capsys)
+    assert code == 1
+    assert "FAIL coefficient routes agree (0..0): (k,j)=(0,0)" in out.splitlines()
 
 
 def test_coeffs_k_prints_the_last_row_of_coeffs_upto(capsys):

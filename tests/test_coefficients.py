@@ -64,6 +64,20 @@ def test_contraction_examples():
     assert coefficient_by_contraction(3, 3) == 1
 
 
+def test_contraction_count_reads_the_sum_formula_of_the_higher_derangements(monkeypatch):
+    # C(k, p) times d_k^p by its sum formula, looked up on combinatorics at
+    # the call: a fault planted there reaches exactly the entry it touches.
+    closed_form = coefficients.combinatorics._closed_form
+
+    def off_by_one(n, binomials, derangements):
+        return closed_form(n, binomials, derangements) + ((n, len(binomials) - 1) == (5, 3))
+
+    monkeypatch.setattr(coefficients.combinatorics, "_closed_form", off_by_one)
+    assert coefficient_by_contraction(5, 3) == 130 + 10
+    assert coefficient_by_contraction(5, 2) == 320
+    assert coefficient_by_contraction(4, 3) == 12
+
+
 def test_recurrence_row_examples():
     table = decomposition_table(5)
     assert table.row(5).values == (44, 265, 320, 130, 20, 1)

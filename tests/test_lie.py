@@ -290,6 +290,22 @@ def test_factored_dimension_matches_plain_product(left, right, spare):
     assert lie._pair_dimension(left, right, rows, {}) == plain_weyl_dimension(labels, rows - 1)
 
 
+# Up to 30 parts as up to 30 runs of equal parts, each part up to 10**6.
+long_partitions = st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 30)), max_size=30).map(
+    lambda runs: tuple(sorted((part for part, size in runs for _ in range(size)), reverse=True))[:30]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_partitions, st.integers(0, 30))
+def test_partition_dimension_matches_plain_product(parts, spare):
+    # D_lambda(N) on N <= 60 rows, lambda padded with zeros.
+    rows = max(1, len(parts) + spare)
+    padded = parts + (0,) * (rows - len(parts))
+    labels = tuple(a - b for a, b in zip(padded, padded[1:]))
+    assert lie._partition_dimension(parts, rows) == plain_weyl_dimension(labels, rows - 1)
+
+
 def test_weyl_dimension_validation():
     with pytest.raises(ValueError):
         weyl_dimension((1, 0), 3)
