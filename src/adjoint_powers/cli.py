@@ -46,11 +46,12 @@ TABLE_LIMIT = 1300
 #: Largest ``table derangement --max``: one column, so far longer than the
 #: triangles.  ``--format json``, the slowest, prints 1.2 GB in 6.6-8.7 s.
 DERANGEMENT_TABLE_LIMIT = 25000
-#: Largest ``coeffs --k``: the last of rows 0..k of the one closed-form body,
-#: which ``coeffs --upto`` prints; O(k^2) big-integer steps.
+#: Largest ``coeffs --k``: one row of the closed-form body, built in O(k)
+#: small-multiplier steps (0.03 s at 3000), so its quadratic ``int``-to-``str``
+#: print sets the limit.  ``--format json`` and ``csv`` take 1.8-2.1 s and 38 MB.
 COEFFS_K_LIMIT = 3000
 #: Largest ``coeffs --upto``: streamed row by row like the tables.  ``--format
-#: json``, the slowest, prints 700 MB in 6.6-9 s.
+#: json``, the slowest, prints 700 MB in 3.4-5.0 s over ten runs.
 COEFFS_UPTO_LIMIT = 1100
 #: Largest ``series --k``.
 SERIES_K_LIMIT = 1000
@@ -60,8 +61,8 @@ SERIES_ORDER_LIMIT = 2500
 #: derangements adds O(max) products per entry, O(max^3) big-integer steps in all.
 COMBINATORICS_LIMIT = 300
 #: Largest ``verify oracle --kmax``: the irreps roughly double with each power.
-#: ``verify oracle --kmax 16 --n 200``, the largest request, takes about 8.5 s
-#: and 200 MB; ``--kmax 17 --n 120`` took 13 s.
+#: ``verify oracle --kmax 16 --n 200``, the largest request, took 5.5-6.3 s and
+#: 200 MB in six runs (earlier ones up to 12 s); ``--kmax 17 --n 120`` took 13 s.
 ORACLE_KMAX_LIMIT = 16
 #: Largest ``verify oracle --n``: each label's packed key, its bytes and the
 #: pass over them that measures it grow linearly with the rank.
@@ -232,9 +233,9 @@ def _cmd_coeffs(args) -> int:
         )
         return 0
     _require_sizes(upto=(1, args.upto, COEFFS_UPTO_LIMIT))
-    # The closed form on Decimal, as ``table`` prints its kernels, from power 1.
+    # The closed-form body on Decimal, as ``table`` prints its kernels, a row at a time.
     with _exact_decimals() as one:
-        rows = islice(coefficients._closed_form_rows(args.upto, one), 1, None)
+        rows = (coefficients._coefficient_row(k, one) for k in range(1, args.upto + 1))
         _print_numbered_rows(
             args.format, "max_power", args.upto, rows, "k", "coefficients", "j", start=1
         )
@@ -333,15 +334,10 @@ def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
         binomials = binomial_rows(limit)
         # The recurrence starts at power 1: its seed (1,) is not one of its rows.
         recurrence_rows = coefficients.decomposition_rows(limit) if limit else ()
-        rows = zip(
-            range(limit + 1),
-            coefficients._closed_form_rows(limit, 1),  # what both ``coeffs`` forms print
-            table_route(limit),
-            chain([None], recurrence_rows),
-            strict=True,
-        )
-        for k, printed_row, table_row, recurrence_row in rows:
-            # The closed form weighted by math.comb, not the printed Pascal rows.
+        rows = zip(table_route(limit), chain([None], recurrence_rows), strict=True)
+        for k, (table_row, recurrence_row) in enumerate(rows):
+            printed_row = coefficients._coefficient_row(k, 1)  # what both ``coeffs`` forms print
+            # The paper's closed form: the difference table over j!, weighted by math.comb.
             closed_row = list(map(mul, binomials[k], table_row))
             # Power 0's printed row is compared with the closed form alone.
             recurrence_values = recurrence_row.values if k else closed_row

@@ -18,26 +18,21 @@ power k is computed by three routes:
 All three must agree entry for entry; every division is exact and
 checked.  Each route has one public function, and none takes a
 route-selecting argument.  The closed form has one body,
-:func:`_closed_form_rows`.
+:func:`_coefficient_row`, which builds one row alone in O(k) steps.
 
-What the CLI prints: :func:`_closed_form_rows` gives the closed form for
-every power from one pass of the higher-derangement kernel (which
-``table higher`` prints), each row weighted by a Pascal row kept beside
-it, so nothing divides.  ``coeffs --upto`` prints its rows 1..K on
-``decimal.Decimal`` in the CLI's exact context, like the ``table``
-kernels; :func:`coefficient_row`, which ``coeffs --k`` prints, is its
-last row on ``int``, and :func:`coefficient` reads one entry of that.
-``verify combinatorics`` compares those rows, from power 0, with the
-recurrence :func:`decomposition_rows` and with the difference table
-divided by j!, weighted by ``math.comb``.
+What the CLI prints: ``coeffs --k`` prints :func:`coefficient_row`, the
+body's row on ``int``, which :func:`coefficient` reads; ``coeffs --upto``
+prints its rows 1..K on ``decimal.Decimal`` in the CLI's exact context.
+``verify combinatorics`` compares its row for each power from 0 with
+:func:`decomposition_rows` and with the difference table divided by j!,
+weighted by ``math.comb``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import islice, repeat
-from operator import add, mul
+from itertools import islice
 
 from . import combinatorics
 from .combinatorics import _binomial_row, binomial, derangement_numbers, exact_div
@@ -98,42 +93,46 @@ def coefficient_by_contraction(k: int, p: int) -> int:
 
 
 def coefficient_row(k: int) -> CoefficientRow:
-    """One full row (c_0^k, ..., c_k^k) by the closed form; k = 0 gives (1,).
-
-    The last row of :func:`_closed_form_rows` on ``int``, the rows
-    ``coeffs --upto`` prints.
-    """
+    """One full row (c_0^k, ..., c_k^k), :func:`_coefficient_row` on ``int``;
+    k = 0 gives (1,)."""
     if k < 0:
         raise ValueError("coefficient_row requires k >= 0")
-    for row in _closed_form_rows(k, 1):
-        pass
-    return CoefficientRow(k, tuple(row))
+    return CoefficientRow(k, tuple(_coefficient_row(k, 1)))
 
 
-def _closed_form_rows(max_power: int, one) -> Iterator[Iterator]:
-    """The closed form C(k, j) * d_k^j for the powers k = 0..max_power, in
-    the number type of ``one``, one row at a time.
+def _coefficient_row(k: int, one) -> list:
+    """The closed form c_j = C(k, j) * d_k^j for j = 0..k, in the number
+    type of ``one``, built from c_k = 1 (and c_{k+1} = 0) downward by
 
-    d_k^j comes from one pass of the higher-derangement kernel, which never
-    divides, and C(k, j) from a Pascal row kept beside it.  The kernel is
-    looked up on :mod:`combinatorics` at the call, so ``table higher``,
-    both ``coeffs`` forms and the oracle all read the one kernel there.
-    Each row is a lazy ``map`` of their products, so no row is held in two
-    forms, and a row that is skipped is never multiplied.  The caller
-    checks ``max_power``.
+        c_{j-1} = j ((2j-k-1) c_j + (j+1)^2 c_{j+1}) / (k-j+1),
+
+    each division checked by :func:`exact_div`, whose ``divmod`` is integer
+    division on ``Decimal`` too; the CLI's exact context traps any rounding.
+
+    Why it holds: F_j(x) = e^{-x} (1-x)^{-j-1} = sum_m d_{m+j}^j x^m / m!,
+    the series ``series`` prints, satisfies F_j' = (j+1) F_{j+1} - F_j and
+    F_{j-1} = (1-x) F_j.  Their coefficients of x^m / m! read
+
+        d_k^j = (j+1) d_k^{j+1} - d_{k-1}^j         (m = k-j-1),
+        d_{k-1}^{j-1} = d_k^j - (k-j) d_{k-1}^j     (m = k-j).
+
+    The first at j-1 and at j removes d_{k-1}^{j-1} and d_{k-1}^j from the
+    second, which leaves the division-free row law
+
+        d_k^{j-1} = (2j-k-1) d_k^j + (j+1)(k-j) d_k^{j+1},
+
+    from d_k^k = 1 and d_k^{k-1} = k-1 (the law at j = k, with
+    d_k^{k+1} = 0).  Multiplying by C(k, j-1) = C(k, j) j / (k-j+1), and
+    writing C(k, j+1) = C(k, j) (k-j) / (j+1), turns it into the step
+    above.  The caller checks ``k``.
     """
-    higher_rows = combinatorics._higher_derangement_rows(max_power, one)
-    return map(map, repeat(mul), _pascal_rows(one), higher_rows)
-
-
-def _pascal_rows(one) -> Iterator[list]:
-    """C(k, 0..k) for k = 0, 1, ... without end, in the number type of
-    ``one``: each row a new list, the sums of adjacent entries of the row
-    before between two ones."""
-    row = [one]
-    while True:
-        yield row
-        row = [one, *map(add, row, row[1:]), one]
+    row = [one] * (k + 1)
+    after, current = one - one, one  # c_{j+1}, c_j for j = k
+    for j in range(k, 0, -1):
+        step = j * (2 * j - k - 1) * current + j * (j + 1) ** 2 * after
+        after, current = current, exact_div(step, k - j + 1)
+        row[j - 1] = current
+    return row
 
 
 def decomposition_table(max_power: int) -> DecompositionTable:

@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 from decimal import Decimal, Inexact, localcontext
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 
 import pytest
@@ -84,14 +84,14 @@ def test_decimal_rows_print_as_the_int_rows(size):
         )
 
 
-# ``coeffs --upto`` prints the closed form's Decimal rows from power 1:
+# ``coeffs --upto`` prints the closed-form body's Decimal rows from power 1:
 # every digit must be the recurrence's.
 @settings(max_examples=25, deadline=None)
 @given(size=st.integers(1, 60))
 def test_decimal_closed_form_rows_print_as_the_recurrence_rows(size):
     with localcontext(cli._exact_context()):
-        rows = cli.coefficients._closed_form_rows(size, Decimal(1))
-        closed_form = printed(islice(rows, 1, None))
+        one = Decimal(1)
+        closed_form = printed(cli.coefficients._coefficient_row(k, one) for k in range(1, size + 1))
     assert closed_form == printed(row.values for row in decomposition_rows(size))
 
 
@@ -246,10 +246,10 @@ def bump_alternating_route(original):
     return planted
 
 
-def bump_pascal_row(original):
-    def planted(one):
-        for row in original(one):
-            yield [row[0], row[1] + 1, *row[2:]] if len(row) == 4 else row
+def bump_coefficient_row(original):
+    def planted(k, one):
+        row = original(k, one)
+        return [row[0], row[1] + 1, *row[2:]] if k == 3 else row
 
     return planted
 
@@ -275,10 +275,10 @@ def drop_a_derangement(original):
 
 # (module, route body, planted wrong entry, FAIL lines of ``verify combinatorics --max 4``).
 # The table route also feeds the closed form weighted by math.comb; the
-# higher-derangement kernel feeds the series check and the rows ``coeffs --k`` and
-# ``coeffs --upto`` print, which the Pascal rows weight; the block builder feeds the
-# enumeration oracle.  The sum formula is swept once, as a higher-derangement route:
-# the coefficient routes compare no contraction sum of their own.
+# higher-derangement kernel feeds the series check; the closed-form body builds the
+# rows ``coeffs --k`` and ``coeffs --upto`` print, from no table; the block builder
+# feeds the enumeration oracle.  The sum formula is swept once, as a higher-derangement
+# route: the coefficient routes compare no contraction sum of their own.
 PLANTED_ROUTES = [
     pytest.param(
         "combinatorics", "_alternating_derangements", bump_alternating_route,
@@ -298,14 +298,13 @@ PLANTED_ROUTES = [
         [
             "FAIL higher derangement routes agree (0..4): (n,k)=(3,1)",
             "FAIL series coefficients match higher derangements (k<=min(4,8), m<=20): (k,m)=(1,2)",
-            "FAIL coefficient routes agree (0..4): (k,j)=(3,1)",
         ],
         id="higher",
     ),
     pytest.param(
-        "coefficients", "_pascal_rows", bump_pascal_row,
+        "coefficients", "_coefficient_row", bump_coefficient_row,
         ["FAIL coefficient routes agree (0..4): (k,j)=(3,1)"],
-        id="pascal",
+        id="coefficient_row",
     ),
     pytest.param(
         "combinatorics", "_recurrence_columns", bump_recurrence_route,
@@ -337,16 +336,15 @@ def test_planted_wrong_entry_fails_its_route(module, name, plant, failures, caps
 
 def test_verify_combinatorics_checks_the_printed_coefficient_rows(capsys, monkeypatch):
     # The rows ``coeffs --upto`` and ``coeffs --k`` print are one of the routes compared.
-    closed_form_rows = cli.coefficients._closed_form_rows
+    coefficient_row = cli.coefficients._coefficient_row
 
-    def off_by_one(max_power, one):
-        for k, row in enumerate(closed_form_rows(max_power, one)):
-            values = list(row)
-            if k == 3:
-                values[2] += 1
-            yield iter(values)
+    def off_by_one(k, one):
+        row = coefficient_row(k, one)
+        if k == 3:
+            row[2] += 1
+        return row
 
-    monkeypatch.setattr("adjoint_powers.cli.coefficients._closed_form_rows", off_by_one)
+    monkeypatch.setattr("adjoint_powers.cli.coefficients._coefficient_row", off_by_one)
     code, out, _ = invoke(["verify", "combinatorics", "--max", "4"], capsys)
     assert code == 1
     failures = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -361,18 +359,17 @@ import sys
 from adjoint_powers import cli
 
 assert False, "-O is not in effect"
-closed_form_rows = cli.coefficients._closed_form_rows
+coefficient_row = cli.coefficients._coefficient_row
 
 
-def off_by_one(max_power, one):
-    for k, row in enumerate(closed_form_rows(max_power, one)):
-        values = list(row)
-        if k == 3:
-            values[2] += 1
-        yield iter(values)
+def off_by_one(k, one):
+    row = coefficient_row(k, one)
+    if k == 3:
+        row[2] += 1
+    return row
 
 
-cli.coefficients._closed_form_rows = off_by_one
+cli.coefficients._coefficient_row = off_by_one
 sys.exit(cli.run(["verify", "combinatorics", "--max", "4"]))
 """
 
@@ -395,15 +392,12 @@ def test_verify_combinatorics_fails_under_optimize():
 def test_verify_combinatorics_checks_the_printed_power_zero_row(capsys, monkeypatch):
     # ``coeffs --k 0`` prints row 0 of the closed-form body; the recurrence
     # has no row 0, so the closed form alone is compared with it.
-    closed_form_rows = cli.coefficients._closed_form_rows
+    coefficient_row = cli.coefficients._coefficient_row
 
-    def planted(max_power, one):
-        rows = closed_form_rows(max_power, one)
-        next(rows)
-        yield iter([2 * one])
-        yield from rows
+    def planted(k, one):
+        return [2 * one] if k == 0 else coefficient_row(k, one)
 
-    monkeypatch.setattr(cli.coefficients, "_closed_form_rows", planted)
+    monkeypatch.setattr(cli.coefficients, "_coefficient_row", planted)
     assert invoke(["coeffs", "--k", "0", "--format", "csv"], capsys) == (0, "2\n", "")
     code, out, _ = invoke(["verify", "combinatorics", "--max", "4"], capsys)
     assert code == 1
@@ -544,43 +538,63 @@ def test_streamed_json_matches_json_dumps_at_scale(capsys):
     assert out == json.dumps(reference, indent=2, sort_keys=True) + "\n"
 
 
-# (command, row generator it draws from, module attribute, text of its first
-# printed row, rows drawn); the table and ``coeffs --upto`` commands draw from
-# bodies run on Decimal, and ``coeffs --upto`` draws the power-0 row unprinted.
-STREAMED_COMMANDS = [
-    ("table euler --max 4 --format json", "combinatorics", "_euler_rows", '"k": 0\n    }', 5),
-    ("table higher --max 4 --format json", "combinatorics", "_higher_derangement_rows", '"n": 0\n    }', 5),
-    ("coeffs --upto 5 --format json", "coefficients", "_closed_form_rows", '"k": 1\n    }', 6),
-    ("table euler --max 4 --format csv", "combinatorics", "_euler_rows", "0,1\n", 5),
-    ("coeffs --upto 5 --format markdown", "coefficients", "_closed_form_rows", "| 1 | 0 | 1 |\n", 6),
-]
+def counting_rows(rows, record):
+    """Wrap a row generator: ``record(n)`` runs as its n-th row is drawn."""
 
-
-@pytest.mark.parametrize(
-    "command,module,name,first_row,drawn", STREAMED_COMMANDS, ids=[c[0] for c in STREAMED_COMMANDS]
-)
-def test_rows_are_written_before_the_last_is_drawn(
-    command, module, name, first_row, drawn, monkeypatch
-):
-    out = io.StringIO()
-    written_before = {}
-    rows = getattr(getattr(cli, module), name)
-
-    def counting_rows(*args):
+    def wrapped(*args):
         source = rows(*args)
 
         def draw():
-            for count, row in enumerate(source, start=1):
-                written_before[count] = out.getvalue()
+            for n, row in enumerate(source, start=1):
+                record(n)
                 yield row
 
         return draw()
 
-    monkeypatch.setattr(getattr(cli, module), name, counting_rows)
+    return wrapped
+
+
+def counting_builds(build, record):
+    """Wrap a one-row body: ``record(n)`` runs as its n-th row is built."""
+    calls = count(1)
+
+    def wrapped(*args):
+        record(next(calls))
+        return build(*args)
+
+    return wrapped
+
+
+# (command, module, attribute that makes its rows, its wrapper, text of the
+# first printed row, rows made); the table commands draw from row generators and
+# ``coeffs --upto`` builds each row alone, all run on Decimal.
+STREAMED_COMMANDS = [
+    ("table euler --max 4 --format json", "combinatorics", "_euler_rows", counting_rows, '"k": 0\n    }', 5),
+    ("table higher --max 4 --format json", "combinatorics", "_higher_derangement_rows", counting_rows, '"n": 0\n    }', 5),
+    ("coeffs --upto 5 --format json", "coefficients", "_coefficient_row", counting_builds, '"k": 1\n    }', 5),
+    ("table euler --max 4 --format csv", "combinatorics", "_euler_rows", counting_rows, "0,1\n", 5),
+    ("coeffs --upto 5 --format markdown", "coefficients", "_coefficient_row", counting_builds, "| 1 | 0 | 1 |\n", 5),
+]
+
+
+@pytest.mark.parametrize(
+    "command,module,name,wrap,first_row,made", STREAMED_COMMANDS, ids=[c[0] for c in STREAMED_COMMANDS]
+)
+def test_rows_are_written_before_the_last_is_drawn(
+    command, module, name, wrap, first_row, made, monkeypatch
+):
+    out = io.StringIO()
+    written_before = {}
+
+    def record(n):
+        written_before[n] = out.getvalue()
+
+    owner = getattr(cli, module)
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name), record))
     monkeypatch.setattr(sys, "stdout", out)
     assert run(command.split()) == 0
     last = max(written_before)
-    assert last == drawn
+    assert last == made
     assert first_row in written_before[last]
     assert out.getvalue().startswith(written_before[last])
     assert first_row not in written_before[1]

@@ -1,5 +1,7 @@
 """Coefficient rows: golden values, route agreement, rendering."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from adjoint_powers import (
     decomposition_table,
     derangement,
     derangement_numbers,
+    higher_derangement_rows,
 )
 from adjoint_powers import coefficients
 from adjoint_powers.cli import run
@@ -122,6 +125,27 @@ def test_routes_agree_on_random_indices(case):
         == coefficient_row(k).values[j]
         == decomposition_table(k).row(k).values[j]
     )
+
+
+# The one closed-form body against the paper's closed form: C(k, j) times
+# row k of the higher-derangement table.
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 300))
+def test_coefficient_row_is_the_closed_form(k):
+    *_, higher_row = higher_derangement_rows(k)
+    expected = [math.comb(k, j) * d for j, d in enumerate(higher_row)]
+    assert coefficients._coefficient_row(k, 1) == expected
+
+
+def test_division_free_row_law_of_the_higher_derangements():
+    # The law the closed-form body's step is derived from, with its two seeds:
+    # d_k^k = 1, d_k^{k-1} = k-1, d_k^{j-1} = (2j-k-1) d_k^j + (j+1)(k-j) d_k^{j+1}.
+    for k, row in enumerate(higher_derangement_rows(200)):
+        assert row[k] == 1
+        if k:
+            assert row[k - 1] == k - 1
+        for j in range(1, k):
+            assert row[j - 1] == (2 * j - k - 1) * row[j] + (j + 1) * (k - j) * row[j + 1]
 
 
 def test_subleading_spot_law():
