@@ -38,7 +38,8 @@ REPORT_FORMATS = ("text", "json")
 
 # Cost limits: the largest accepted request finishes in about 10 s and
 # under about 1 GB (Python 3.11.7, 2-vCPU Xeon VM; CHANGES.md has the
-# measurements).  Anything larger exits 2 before any work is done.
+# measurements; CI fails an at-limit command above 1024 MB peak RSS).
+# Anything larger exits 2 before any work is done.
 #: Largest ``table euler|higher --max``: (max+1)(max+2)/2 big integers, made and
 #: printed one row at a time, so time, not memory, sets it.  ``table euler
 #: --max 1300 --format json``, the slowest, prints 1.9 GB in 7-9.6 s.
@@ -175,29 +176,23 @@ def _print_column(fmt: str, payload: dict, header: list[str], values) -> None:
     _print_output(fmt, json=payload, csv=cells, markdown=(header, cells))
 
 
-def _exact_context():
-    """A ``decimal`` context in which integer arithmetic cannot round: the
-    largest precision and exponent range, with every signal of a rounded,
-    invalid or overflowing result trapped."""
+@contextmanager
+def _exact_decimals():
+    """Yield ``Decimal(1)`` in a ``decimal`` context in which integer
+    arithmetic cannot round, for a row kernel to run on: the largest
+    precision and exponent range, with every signal of a rounded, invalid
+    or overflowing result trapped.  The kernels only add, subtract,
+    multiply and divide exactly, which the context never rounds, and a
+    ``Decimal`` prints in time linear in its digits, where an ``int``
+    takes quadratic time.  The rows are drawn while they print, so they
+    print inside the block."""
     from decimal import (
-        MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero, Inexact, InvalidOperation,
-        Overflow, Rounded,
+        MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
+        InvalidOperation, Overflow, Rounded, localcontext,
     )
 
     traps = [Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow]
-    return Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=traps)
-
-
-@contextmanager
-def _exact_decimals():
-    """Yield ``Decimal(1)`` in the exact context, for a row kernel to run
-    on: the kernels only add, subtract and multiply by small ints, which
-    the context never rounds, and a ``Decimal`` prints in time linear in
-    its digits, where an ``int`` takes quadratic time.  The rows are drawn
-    while they print, so they print inside the block."""
-    from decimal import Decimal, localcontext
-
-    with localcontext(_exact_context()):
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=traps)):
         yield Decimal(1)
 
 

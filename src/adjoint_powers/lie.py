@@ -22,25 +22,28 @@ up to 127.  Tensor steps always multiply by the adjoint, factored
 through V x V* = adjoint + trivial: Pieri's rule for the defining rep
 V adds a box to a row, Pieri's rule for its dual removes one, and the
 input state is subtracted once, so no weight is reflected to the
-dominant chamber.  Inside a step each label is packed into one int,
-one byte per Dynkin label in little-endian order, so a box move is one
-integer addition that no byte carries out of, and the step returns
-keys of the type it was given.  A label is measured by one pass over its runs
-of equal parts, one run per nonzero Dynkin label, so nothing builds an
-(n+1)-vector: the pass splits the highest weight at the floor of its
-mean part into a pair [lambda, mu] of partitions, for the oracle's
-labels exactly the stable pair.  The dimension is Weyl's product in
-factored form, D_lambda(N) D_mu(N) times one small cross factor per
-row of lambda and row of mu (N = n + 1), where D(N) is Weyl's product
-for one partition alone: per row, one falling-factorial ratio against
-the zero rows and one factor per later row; the oracle computes D(N)
-once per partition for its rank and keeps it for the run, and measures
-its own step's labels without validating them again.  A label and its
-dual (the reversed labels) share one measurement: the dual has the
-same dimension and the swapped stable pair, so at (10, 19) the
-certification measures 1,861 of the 3,583 distinct labels and computes
-D(N) for 139 partitions.  Block extraction reads power k's
-coefficients from one coefficient_row(k).
+dominant chamber.  One Pieri body serves both passes, given the pass's
+fixed move and its deltas.  Inside a step each label is packed into
+one int, one byte per Dynkin label in little-endian order, so a box
+move is one integer addition that no byte carries out of, and the
+step returns keys of the type it was given.  A label is measured by
+one pass over its runs of equal parts, one run per nonzero Dynkin
+label, found inside the split, so nothing builds an (n+1)-vector: the
+pass splits the highest weight at the floor of its mean part into a
+pair [lambda, mu] of partitions, for the oracle's labels exactly the
+stable pair.  The dimension is Weyl's product in factored form,
+D_lambda(N) D_mu(N) times one small cross factor per row of lambda and
+row of mu (N = n + 1), where D(N) is Weyl's product for one partition
+alone: per row, one falling-factorial ratio against the zero rows and
+one factor per later row; the oracle computes D(N) once per partition
+for its rank and keeps it for the run, and measures its own step's
+labels without validating them again.  A label and its dual (the
+reversed labels) share one measurement: the dual has the same
+dimension and the swapped stable pair, so a label whose dual is
+already measured takes both from it, and either way the label is
+stored once.  At (10, 19) the certification measures 1,861 of the
+3,583 distinct labels and computes D(N) for 139 partitions.  Block
+extraction reads power k's coefficients from one coefficient_row(k).
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import time
 from collections import namedtuple
 from itertools import chain, compress, repeat
 from math import factorial, perm, prod
-from operator import ge
+from operator import ge, sub
 
 from .coefficients import coefficient_row
 from .combinatorics import derangement, exact_div
@@ -101,26 +104,6 @@ def adjoint_labels(n: int) -> Labels:
     return (1,) + (0,) * (n - 2) + (1,)
 
 
-def _labels_of(vec) -> Labels:
-    """Dynkin labels of a weakly decreasing weight vector (shift-invariant)."""
-    return tuple(vec[i] - vec[i + 1] for i in range(len(vec) - 1))
-
-
-def _runs(labels: Labels, n: int) -> list[tuple[int, int, int]]:
-    """Runs of equal parts of the highest weight, top row first, as
-    (first row, row after the last, part).  A run ends at each nonzero
-    Dynkin label and at row n, so only the nonzero labels are visited."""
-    runs = []
-    start = 0
-    part = sum(labels)
-    for p in compress(range(n), labels):
-        runs.append((start, p + 1, part))
-        start = p + 1
-        part -= labels[p]
-    runs.append((start, n + 1, 0))
-    return runs
-
-
 def _partition_dimension(parts: tuple[int, ...], rows: int) -> int:
     """D_lambda(N): Weyl's product over i < j of (l_i - l_j + j - i) / (j - i)
     for the partition lambda padded with zeros to N = rows rows, the
@@ -151,13 +134,20 @@ def _split(labels: Labels, n: int) -> tuple[tuple[int, ...], tuple[int, ...], in
     together hold at most n rows.  The remainder is zero exactly when the
     two sides hold equal box counts.
     """
-    runs = _runs(labels, n)
-    shift, remainder = divmod(sum((end - start) * part for start, end, part in runs), n + 1)
-    left = chain.from_iterable(
-        repeat(part - shift, end - start) for start, end, part in runs if part > shift
-    )
+    # The runs, top row first, as (rows, part): a run ends at each nonzero
+    # Dynkin label and at row n, so only the nonzero labels are visited.
+    runs = []
+    start = 0
+    part = sum(labels)
+    for p in compress(range(n), labels):
+        runs.append((p + 1 - start, part))
+        start = p + 1
+        part -= labels[p]
+    runs.append((n + 1 - start, 0))
+    shift, remainder = divmod(sum(rows * part for rows, part in runs), n + 1)
+    left = chain.from_iterable(repeat(part - shift, rows) for rows, part in runs if part > shift)
     right = chain.from_iterable(
-        repeat(shift - part, end - start) for start, end, part in reversed(runs) if part < shift
+        repeat(shift - part, rows) for rows, part in reversed(runs) if part < shift
     )
     return tuple(left), tuple(right), remainder
 
@@ -222,6 +212,20 @@ def weyl_dimension(labels: Labels, n: int) -> int:
     return _pair_dimension(left, right, n + 1, {})
 
 
+def _pieri(entries, always: int, deltas: list[int], n: int) -> dict[int, int]:
+    """One Pieri pass over packed labels, merged: each (key, mult) of
+    ``entries`` moves by ``always`` and by each delta whose row the
+    key's bytes allow, deltas[p] where byte p is nonzero."""
+    out: dict[int, int] = {}
+    for key, mult in entries:
+        moved = key + always
+        out[moved] = out.get(moved, 0) + mult
+        for delta in compress(deltas, key.to_bytes(n, "little")):
+            moved = key + delta
+            out[moved] = out.get(moved, 0) + mult
+    return out
+
+
 def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
     """One tensor step: decompose (state) x adjoint into irreducibles.
 
@@ -229,9 +233,12 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
     Pieri for V adds a box to every row i where the result is dominant
     (i = 0 or a_{i-1} > 0); the intermediate labels are merged, then
     Pieri for V* removes a box from every row j where the result is
-    dominant (j = n or a_j > 0).  Subtracting the input state once
-    removes the trivial summand; a multiplicity that would go negative
-    raises instead of being clamped.  No weight is reflected.
+    dominant (j = n or a_j > 0).  Both passes are one body, _pieri,
+    called with the pass's fixed move and deltas.  Subtracting the input
+    state once removes the trivial summand; a multiplicity that would go
+    negative raises instead of being clamped.  No weight is reflected.
+    Multiplicities must be positive ints: a float, a Fraction or a bool
+    raises ValueError, so the arithmetic stays exact.
 
     Labels are tuples of n nonnegative ints, or bytes of length n, with
     every entry at most 253; a label with a larger entry raises
@@ -253,11 +260,11 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
     if set(map(len, state)) != {n} or min(map(min, state)) < 0:
         for labels in state:
             _check_labels(labels, n)
-    if min(state.values()) <= 0:
+    if set(map(type, state.values())) != {int} or min(state.values()) <= 0:
         for labels, mult in state.items():
-            if mult <= 0:
+            if type(mult) is not int or mult <= 0:
                 raise ValueError(
-                    f"multiplicities must be positive, got {mult} for {tuple(labels)}"
+                    f"multiplicities must be positive ints, got {mult!r} for {tuple(labels)}"
                 )
     as_bytes = set(map(type, state)) == {bytes}
     widest = max(state, key=max)
@@ -273,23 +280,9 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
     gain = [b - a for a, b in zip(field, field[1:] + [0])]
     lose = [b - a for a, b in zip(field, [0] + field[:-1])]
     keys = list(map(int.from_bytes, state, repeat("little")))
-    first, last = field[0], field[-1]
-    gained: dict[int, int] = {}
-    for key, mult in zip(keys, state.values()):
-        # Row 0 gains a box, raising a_0.
-        moved = key + first
-        gained[moved] = gained.get(moved, 0) + mult
-        for delta in compress(gain, key.to_bytes(n, "little")):
-            moved = key + delta
-            gained[moved] = gained.get(moved, 0) + mult
-    out: dict[int, int] = {}
-    for key, mult in gained.items():
-        # Row n loses a box, raising a_{n-1}.
-        moved = key + last
-        out[moved] = out.get(moved, 0) + mult
-        for delta in compress(lose, key.to_bytes(n, "little")):
-            moved = key + delta
-            out[moved] = out.get(moved, 0) + mult
+    # Row 0 gains a box, raising a_0; then row n loses one, raising a_{n-1}.
+    gained = _pieri(zip(keys, state.values()), field[0], gain, n)
+    out = _pieri(gained.items(), field[-1], lose, n)
     for key, (labels, mult) in zip(keys, state.items()):
         left = out.get(key, 0) - mult
         if left < 0:
@@ -371,9 +364,10 @@ def stable_to_dynkin(label: StableLabel, n: int) -> Labels:
         vec[i] += part
     for i, part in enumerate(label.right):
         vec[n - i] -= part
-    if any(vec[i] < vec[i + 1] for i in range(n)):
+    labels = tuple(map(sub, vec, vec[1:]))
+    if min(labels) < 0:
         raise ValueError(f"rank {n} too small for {label}")
-    return _labels_of(vec)
+    return labels
 
 
 def dynkin_to_stable(labels: Labels, n: int) -> StableLabel:
@@ -411,32 +405,12 @@ class PowerCheck(
     """Verification record for one tensor power; :attr:`passed` is the
     one definition of a valid power, for both oracle entry points.
 
-    An immutable named tuple.  ``negative_entries`` maps a stable label
-    to its negative multiplicity and ``residual`` a stable label to its
-    (expected, observed) pair; each defaults to a new empty dict.
+    An immutable named tuple with every field required.
+    ``negative_entries`` maps a stable label to its negative multiplicity
+    and ``residual`` a stable label to its (expected, observed) pair.
     """
 
     __slots__ = ()
-
-    def __new__(
-        cls,
-        power: int,
-        dimension_expected: int,
-        dimension_observed: int,
-        trivial_expected: int,
-        trivial_observed: int,
-        leading_ok: bool,
-        negative_entries: dict[StableLabel, int] | None = None,
-        residual: dict[StableLabel, tuple[int, int]] | None = None,
-    ) -> PowerCheck:
-        if negative_entries is None:
-            negative_entries = {}
-        if residual is None:
-            residual = {}
-        return tuple.__new__(cls, (
-            power, dimension_expected, dimension_observed, trivial_expected,
-            trivial_observed, leading_ok, negative_entries, residual,
-        ))
 
     @property
     def passed(self) -> bool:
@@ -541,16 +515,13 @@ def _certified_powers(k_max: int, n: int):
                             f"power {k} holds {tuple(lab)}, which is not a weight"
                             " of an adjoint tensor power"
                         )
-                    # The runs give partitions, and a zero remainder equal
-                    # box counts: the pair is a valid StableLabel.
-                    measured[lab] = (
-                        tuple.__new__(StableLabel, (left, right)),
-                        _pair_dimension(left, right, n + 1, factors),
-                    )
+                    dim = _pair_dimension(left, right, n + 1, factors)
                 else:
-                    (left, right), dim = dual
-                    # The pair was checked when the dual's label was made.
-                    measured[lab] = (tuple.__new__(StableLabel, (right, left)), dim)
+                    (right, left), dim = dual
+                # The runs give partitions, and a zero remainder equal box
+                # counts, so the pair is a valid StableLabel; a dual's pair
+                # was checked when the dual's label was made.
+                measured[lab] = (tuple.__new__(StableLabel, (left, right)), dim)
             label, dim = measured[lab]
             stable[label] = m
             dimension += m * dim

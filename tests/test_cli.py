@@ -7,7 +7,7 @@ import json
 import os
 import subprocess
 import sys
-from decimal import Decimal, Inexact, localcontext
+from decimal import Decimal, Inexact
 from itertools import count, islice
 from pathlib import Path
 
@@ -72,8 +72,7 @@ def printed(rows):
 @settings(max_examples=25, deadline=None)
 @given(size=st.integers(0, 80))
 def test_decimal_rows_print_as_the_int_rows(size):
-    with localcontext(cli._exact_context()):
-        one = Decimal(1)
+    with cli._exact_decimals() as one:
         assert printed(combinatorics._euler_rows(size, one)) == printed(euler_rows(size))
         assert printed(combinatorics._higher_derangement_rows(size, one)) == printed(
             higher_derangement_rows(size)
@@ -89,8 +88,7 @@ def test_decimal_rows_print_as_the_int_rows(size):
 @settings(max_examples=25, deadline=None)
 @given(size=st.integers(1, 60))
 def test_decimal_closed_form_rows_print_as_the_recurrence_rows(size):
-    with localcontext(cli._exact_context()):
-        one = Decimal(1)
+    with cli._exact_decimals() as one:
         closed_form = printed(cli.coefficients._coefficient_row(k, one) for k in range(1, size + 1))
     assert closed_form == printed(row.values for row in decomposition_rows(size))
 
@@ -99,10 +97,11 @@ def test_exact_context_traps_every_rounding():
     # Under MAX_PREC an inexact quotient such as Decimal(1) / 3 is never
     # reached: libmpdec fails to allocate its MAX_PREC digits first
     # (MemoryError), so rounding is provoked without a division here.
-    context = cli._exact_context()
-    assert context.prec == decimal.MAX_PREC
-    assert (context.Emax, context.Emin) == (decimal.MAX_EMAX, decimal.MIN_EMIN)
-    with localcontext(context):
+    with cli._exact_decimals() as one:
+        assert one == 1 and type(one) is Decimal
+        context = decimal.getcontext()
+        assert context.prec == decimal.MAX_PREC
+        assert (context.Emax, context.Emin) == (decimal.MAX_EMAX, decimal.MIN_EMIN)
         with pytest.raises(Inexact):
             Decimal("0.5").to_integral_exact()
         with pytest.raises(decimal.Rounded):
@@ -445,6 +444,8 @@ def test_verify_oracle_failure_maps_to_exit_one(capsys, monkeypatch):
                 trivial_expected=0,
                 trivial_observed=0,
                 leading_ok=True,
+                negative_entries={},
+                residual={},
             )
         ],
         seconds=0.0,

@@ -17,6 +17,7 @@ of partitions.
 
 import re
 from collections import namedtuple
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -487,6 +488,10 @@ def test_mixed_label_types_give_tuples():
 def test_tensor_rejects_bad_multiplicity():
     with pytest.raises(ValueError):
         tensor_with_adjoint({trivial_labels(3): 0}, 3)
+    # Only an int keeps the step exact: a float, a Fraction or a bool is refused.
+    for mult in (1.5, Fraction(1), True):
+        with pytest.raises(ValueError, match="^multiplicities must be positive"):
+            tensor_with_adjoint({trivial_labels(3): mult}, 3)
 
 
 def test_adjoint_power_small_cases():
@@ -495,6 +500,19 @@ def test_adjoint_power_small_cases():
         assert adjoint_power(1, n) == {adjoint_labels(n): 1}
     assert adjoint_power(3, 5)[(3, 0, 0, 0, 3)] == 1
     assert adjoint_power(2, 5)[trivial_labels(5)] == 1
+
+
+def test_stable_bound_is_sharp():
+    # 2k <= n+1 is sharp: the multiplicities of power k sum to the same at
+    # n = 2k - 1 as at 2k + 1, and to one less at 2k - 2, where [1^k, 1^k],
+    # which needs 2k rows, has no Dynkin label.
+    for k in range(2, 6):
+        column = StableLabel((1,) * k, (1,) * k)
+        total = {n: sum(adjoint_power(k, n).values()) for n in (2 * k - 2, 2 * k - 1, 2 * k + 1)}
+        assert total[2 * k - 1] == total[2 * k + 1] == total[2 * k - 2] + 1
+        assert adjoint_power(k, 2 * k - 1)[stable_to_dynkin(column, 2 * k - 1)] == 1
+        with pytest.raises(ValueError, match="too small"):
+            stable_to_dynkin(column, 2 * k - 2)
 
 
 def test_adjoint_power_dimension_conservation():

@@ -24,6 +24,8 @@ def power_check(**overrides):
         trivial_expected=0,
         trivial_observed=0,
         leading_ok=True,
+        negative_entries={},
+        residual={},
     )
     return PowerCheck(**{**fields, **overrides})
 
@@ -85,17 +87,17 @@ def test_record_fields_cannot_be_assigned(name):
         record.extra = None  # no instance dict either
 
 
-def test_power_check_defaults_are_fresh_dicts():
-    first, second = power_check(), power_check()
-    assert first.negative_entries == first.residual == {}
-    assert first.negative_entries is not second.negative_entries
-    assert first.residual is not second.residual
-    assert first.negative_entries is not first.residual
-    first.negative_entries[StableLabel((1,), (1,))] = -1
-    first.residual[StableLabel((1,), (1,))] = (0, -1)
-    assert second.negative_entries == second.residual == {}
-    assert power_check().negative_entries == power_check().residual == {}
-    assert first.passed is False and second.passed is True
+def test_power_check_requires_every_field():
+    # No field has a default: a check without its residual is refused.
+    fields = power_check()._asdict()
+    del fields["residual"]
+    with pytest.raises(TypeError):
+        PowerCheck(**fields)
+    # A negative entry or a residual fails the power.
+    label = StableLabel((1,), (1,))
+    assert power_check().passed is True
+    assert power_check(negative_entries={label: -1}).passed is False
+    assert power_check(residual={label: (0, -1)}).passed is False
 
 
 @st.composite
