@@ -2,9 +2,11 @@
 
 Emits the exact tables (difference table, derangements, higher
 derangements), the tensor-power coefficient rows, the generating-function
-series, and runs the two verification suites.  Output on stdout is
-byte-identical for identical arguments; diagnostics (including timings)
-go to stderr.
+series, and the reports of the two verification suites, which the library
+runs (``coefficients._route_checks`` and ``lie.verify_stable_decomposition``).
+This module parses, refuses a request above its cost limit, times the
+oracle and prints.  Output on stdout is byte-identical for identical
+arguments; diagnostics (including the oracle's timing) go to stderr.
 
 Every command prints through one printer, ``_print_output``, the only
 code here that branches on the format.  A command hands it each form of
@@ -24,12 +26,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from contextlib import contextmanager
 from itertools import chain, islice
-from operator import mul
 
 from . import coefficients, combinatorics, lie
-from .combinatorics import ExactDivisionError
 # canonical_json is unused here, but kept bound: perfbench/run.py traces cli.canonical_json.
 from .serialize import _join_pieces, canonical_json, iterencode
 
@@ -62,8 +63,8 @@ SERIES_ORDER_LIMIT = 2500
 #: derangements adds O(max) products per entry, O(max^3) big-integer steps in all.
 COMBINATORICS_LIMIT = 300
 #: Largest ``verify oracle --kmax``: the irreps roughly double with each power.
-#: ``verify oracle --kmax 16 --n 200``, the largest request, took 5.5-6.3 s and
-#: 200 MB in six runs (earlier ones up to 12 s); ``--kmax 17 --n 120`` took 13 s.
+#: ``verify oracle --kmax 16 --n 200``, the largest request, took 6.8-7.5 s and
+#: 200 MB in seven runs (earlier ones 5.5-12 s); ``--kmax 17 --n 120`` took 13 s.
 ORACLE_KMAX_LIMIT = 16
 #: Largest ``verify oracle --n``: each label's packed key, its bytes and the
 #: pass over them that measures it grow linearly with the rank.
@@ -246,114 +247,9 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _combinatorics_checks(limit: int) -> list[tuple[str, bool, str]]:
-    """Every cross-formula invariant of the two combinatorics modules."""
-    checks: list[tuple[str, bool, str]] = []
-
-    def record(name: str, fn) -> None:
-        try:
-            fn()
-        except AssertionError as exc:
-            checks.append((name, False, str(exc)))
-        except ExactDivisionError as exc:
-            checks.append((name, False, f"exact division violated: {exc}"))
-        except ValueError as exc:
-            checks.append((name, False, f"domain error: {exc}"))
-        else:
-            checks.append((name, True, ""))
-
-    def derangement_routes() -> None:
-        routes = zip(
-            combinatorics.euler_rows(limit),
-            combinatorics.derangement_numbers(),  # what ``table derangement`` prints
-            combinatorics._alternating_derangements(),
-        )
-        for k, (row, adjacent, alternating) in enumerate(routes):
-            if not adjacent == alternating == row[0]:
-                raise AssertionError(f"k={k}")
-
-    def enumeration() -> None:
-        values = islice(combinatorics.derangement_numbers(), min(limit, 9) + 1)
-        for k, value in enumerate(values):
-            if value != combinatorics.derangement_enumeration_oracle(k):
-                raise AssertionError(f"k={k}")
-
-    def divisibility() -> None:
-        factorials = [combinatorics.factorial(j) for j in range(limit + 1)]
-        for k, row in enumerate(combinatorics.euler_rows(limit)):
-            for j, entry in enumerate(row):
-                if entry % factorials[j]:
-                    raise AssertionError(f"(k,j)=({k},{j})")
-
-    # Each route below builds its own whole table in one pass, through its
-    # one body, and reads no other route's table.
-    def table_route(max_index: int):
-        """Rows of the ``table`` route: the difference table divided by k!."""
-        return map(combinatorics._table_route_row, combinatorics.euler_rows(max_index))
-
-    def binomial_rows(max_index: int) -> list[list[int]]:
-        return [combinatorics._binomial_row(k) for k in range(max_index + 1)]
-
-    def higher_routes() -> None:
-        printed_rows = combinatorics.higher_derangement_rows(limit)  # what ``table higher`` prints
-        columns = list(combinatorics._recurrence_columns(limit))
-        binomials = binomial_rows(limit)
-        derangements = list(islice(combinatorics.derangement_numbers(), limit + 1))
-        rows = zip(range(limit + 1), printed_rows, table_route(limit), strict=True)
-        for n, printed_row, table_row in rows:
-            for k, printed, table in zip(range(n + 1), printed_row, table_row, strict=True):
-                recurrence = columns[k][n]
-                closed = combinatorics._closed_form(n, binomials[k], derangements)
-                if not table == recurrence == closed == printed:
-                    raise AssertionError(f"(n,k)=({n},{k})")
-
-    def higher_laws() -> None:
-        for n, row in enumerate(table_route(limit)):
-            if row[n] != 1:
-                raise AssertionError(f"diagonal n={n}")
-            if n >= 1 and row[n - 1] != n - 1:
-                raise AssertionError(f"subdiagonal n={n}")
-
-    def series_consistency() -> None:
-        k_max = min(limit, 8)
-        # d_{m+k}^k from one pass of the kernel ``table higher`` prints.
-        rows = list(combinatorics.higher_derangement_rows(k_max + 20))
-        for k in range(k_max + 1):
-            series = combinatorics.egf_coefficients(k, 20)
-            for m in range(21):
-                value = series.coefficient(m) * combinatorics.factorial(m)
-                if value != rows[m + k][k]:
-                    raise AssertionError(f"(k,m)=({k},{m})")
-
-    def coefficient_routes() -> None:
-        binomials = binomial_rows(limit)
-        # The recurrence starts at power 1: its seed (1,) is not one of its rows.
-        recurrence_rows = coefficients.decomposition_rows(limit) if limit else ()
-        rows = zip(table_route(limit), chain([None], recurrence_rows), strict=True)
-        for k, (table_row, recurrence_row) in enumerate(rows):
-            printed_row = coefficients._coefficient_row(k, 1)  # what both ``coeffs`` forms print
-            # The paper's closed form: the difference table over j!, weighted by math.comb.
-            closed_row = list(map(mul, binomials[k], table_row))
-            # Power 0's printed row is compared with the closed form alone.
-            recurrence_values = recurrence_row.values if k else closed_row
-            entries = zip(range(k + 1), printed_row, closed_row, recurrence_values, strict=True)
-            for j, printed, closed, recurrence in entries:
-                if not printed == closed == recurrence:
-                    raise AssertionError(f"(k,j)=({k},{j})")
-
-    record(f"derangement routes agree (0..{limit})", derangement_routes)
-    record(f"enumeration oracle matches (0..{min(limit, 9)})", enumeration)
-    record(f"difference-table entries divisible by column factorial (0..{limit})", divisibility)
-    record(f"higher derangement routes agree (0..{limit})", higher_routes)
-    record(f"higher derangement diagonal and subdiagonal laws (0..{limit})", higher_laws)
-    record(f"series coefficients match higher derangements (k<=min({limit},8), m<=20)", series_consistency)
-    record(f"coefficient routes agree (0..{limit})", coefficient_routes)
-    return checks
-
-
 def _cmd_verify_combinatorics(args) -> int:
     _require_sizes(max=(0, args.max, COMBINATORICS_LIMIT))
-    checks = _combinatorics_checks(args.max)
+    checks = coefficients._route_checks(args.max)
     passed = all(ok for _, ok, _ in checks)
     payload = {
         "suite": "combinatorics",
@@ -402,12 +298,11 @@ def _label_text(label: lie.StableLabel) -> str:
 
 def _cmd_verify_oracle(args) -> int:
     _require_sizes(kmax=(0, args.kmax, ORACLE_KMAX_LIMIT), n=(1, args.n, ORACLE_RANK_LIMIT))
+    started = time.perf_counter()
     report = lie.verify_stable_decomposition(args.kmax, args.n)
+    seconds = time.perf_counter() - started
     _print_output(args.format, json=report.to_payload(), text=_report_lines(report))
-    print(
-        f"verified k_max={report.k_max} rank={report.rank} in {report.seconds:.3f}s",
-        file=sys.stderr,
-    )
+    print(f"verified k_max={report.k_max} rank={report.rank} in {seconds:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1
 
 
@@ -435,8 +330,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
-        # An exact division left a remainder (ExactDivisionError), or the
-        # oracle met a label off the root lattice: the formulas were falsified.
+        # An exact division left a remainder, or the oracle met a label off
+        # the root lattice: the formulas were falsified.
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
 

@@ -25,17 +25,19 @@ body's row on ``int``, which :func:`coefficient` reads; ``coeffs --upto``
 prints its rows 1..K on ``decimal.Decimal`` in the CLI's exact context.
 ``verify combinatorics`` compares its row for each power from 0 with
 :func:`decomposition_rows` and with the difference table divided by j!,
-weighted by ``math.comb``.
+weighted by ``math.comb``; that suite, every cross-check of the routes of
+this module and of :mod:`combinatorics`, runs here, in :func:`_route_checks`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import islice
+from itertools import chain, islice
+from operator import mul
 
 from . import combinatorics
-from .combinatorics import _binomial_row, binomial, derangement_numbers, exact_div
+from .combinatorics import ExactDivisionError, _binomial_row, binomial, derangement_numbers, exact_div
 
 # Unused here, but kept bound: perfbench/run.py traces coefficients.canonical_json.
 from .serialize import canonical_json
@@ -164,3 +166,108 @@ def _decomposition_rows(max_power: int) -> Iterator[CoefficientRow]:
             values.append(exact_div((k - j) * values[j] + k * previous[j], (j + 1) ** 2))
         previous = tuple(values)
         yield CoefficientRow(k, previous)
+
+
+def _route_checks(limit: int) -> list[tuple[str, bool, str]]:
+    """Every cross-formula check of this module and combinatorics: (name, passed, detail)."""
+    checks: list[tuple[str, bool, str]] = []
+
+    def record(name: str, fn) -> None:
+        try:
+            fn()
+        except AssertionError as exc:
+            checks.append((name, False, str(exc)))
+        except ExactDivisionError as exc:
+            checks.append((name, False, f"exact division violated: {exc}"))
+        except ValueError as exc:
+            checks.append((name, False, f"domain error: {exc}"))
+        else:
+            checks.append((name, True, ""))
+
+    def derangement_routes() -> None:
+        routes = zip(
+            combinatorics.euler_rows(limit),
+            combinatorics.derangement_numbers(),  # what ``table derangement`` prints
+            combinatorics._alternating_derangements(),
+        )
+        for k, (row, adjacent, alternating) in enumerate(routes):
+            if not adjacent == alternating == row[0]:
+                raise AssertionError(f"k={k}")
+
+    def enumeration() -> None:
+        values = islice(combinatorics.derangement_numbers(), min(limit, 9) + 1)
+        for k, value in enumerate(values):
+            if value != combinatorics.derangement_enumeration_oracle(k):
+                raise AssertionError(f"k={k}")
+
+    def divisibility() -> None:
+        factorials = [combinatorics.factorial(j) for j in range(limit + 1)]
+        for k, row in enumerate(combinatorics.euler_rows(limit)):
+            for j, entry in enumerate(row):
+                if entry % factorials[j]:
+                    raise AssertionError(f"(k,j)=({k},{j})")
+
+    # Each route below builds its own whole table in one pass, through its
+    # one body, and reads no other route's table.
+    def table_route(max_index: int):
+        """Rows of the ``table`` route: the difference table divided by k!."""
+        return map(combinatorics._table_route_row, combinatorics.euler_rows(max_index))
+
+    def binomial_rows(max_index: int) -> list[list[int]]:
+        return [combinatorics._binomial_row(k) for k in range(max_index + 1)]
+
+    def higher_routes() -> None:
+        printed_rows = combinatorics.higher_derangement_rows(limit)  # what ``table higher`` prints
+        columns = list(combinatorics._recurrence_columns(limit))
+        binomials = binomial_rows(limit)
+        derangements = list(islice(combinatorics.derangement_numbers(), limit + 1))
+        rows = zip(range(limit + 1), printed_rows, table_route(limit), strict=True)
+        for n, printed_row, table_row in rows:
+            for k, printed, table in zip(range(n + 1), printed_row, table_row, strict=True):
+                recurrence = columns[k][n]
+                closed = combinatorics._closed_form(n, binomials[k], derangements)
+                if not table == recurrence == closed == printed:
+                    raise AssertionError(f"(n,k)=({n},{k})")
+
+    def higher_laws() -> None:
+        for n, row in enumerate(table_route(limit)):
+            if row[n] != 1:
+                raise AssertionError(f"diagonal n={n}")
+            if n >= 1 and row[n - 1] != n - 1:
+                raise AssertionError(f"subdiagonal n={n}")
+
+    def series_consistency() -> None:
+        k_max = min(limit, 8)
+        # d_{m+k}^k from one pass of the kernel ``table higher`` prints.
+        rows = list(combinatorics.higher_derangement_rows(k_max + 20))
+        for k in range(k_max + 1):
+            series = combinatorics.egf_coefficients(k, 20)
+            for m in range(21):
+                value = series.coefficient(m) * combinatorics.factorial(m)
+                if value != rows[m + k][k]:
+                    raise AssertionError(f"(k,m)=({k},{m})")
+
+    def coefficient_routes() -> None:
+        binomials = binomial_rows(limit)
+        # The recurrence starts at power 1: its seed (1,) is not one of its rows.
+        recurrence_rows = decomposition_rows(limit) if limit else ()
+        rows = zip(table_route(limit), chain([None], recurrence_rows), strict=True)
+        for k, (table_row, recurrence_row) in enumerate(rows):
+            printed_row = _coefficient_row(k, 1)  # what both ``coeffs`` forms print
+            # The paper's closed form: the difference table over j!, weighted by math.comb.
+            closed_row = list(map(mul, binomials[k], table_row))
+            # Power 0's printed row is compared with the closed form alone.
+            recurrence_values = recurrence_row.values if k else closed_row
+            entries = zip(range(k + 1), printed_row, closed_row, recurrence_values, strict=True)
+            for j, printed, closed, recurrence in entries:
+                if not printed == closed == recurrence:
+                    raise AssertionError(f"(k,j)=({k},{j})")
+
+    record(f"derangement routes agree (0..{limit})", derangement_routes)
+    record(f"enumeration oracle matches (0..{min(limit, 9)})", enumeration)
+    record(f"difference-table entries divisible by column factorial (0..{limit})", divisibility)
+    record(f"higher derangement routes agree (0..{limit})", higher_routes)
+    record(f"higher derangement diagonal and subdiagonal laws (0..{limit})", higher_laws)
+    record(f"series coefficients match higher derangements (k<=min({limit},8), m<=20)", series_consistency)
+    record(f"coefficient routes agree (0..{limit})", coefficient_routes)
+    return checks

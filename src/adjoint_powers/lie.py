@@ -7,10 +7,11 @@ triangularly, and the result is compared block by block against the
 combinatorial coefficients, in the stable range 2k <= n+1.  One pass
 over the powers builds each power's check and block; the two entry
 points only collect it: verify_stable_decomposition reports the checks
-as data, extract_stable_blocks returns the blocks and raises on the
-first power whose check fails.  Two arithmetic faults raise from both
-instead of being reported: a Weyl quotient with a remainder
-(ExactDivisionError) and a label off the root lattice (ArithmeticError).
+as data, untimed (the CLI times the call), extract_stable_blocks returns
+the blocks and raises on the first power whose check fails.  Two
+arithmetic faults raise from both instead of being reported: a Weyl
+quotient with a remainder (ExactDivisionError) and a label off the root
+lattice (ArithmeticError).
 
 Dynkin labels are tuples of n nonnegative ints or bytes of length n:
 tensor_with_adjoint, weyl_dimension and dynkin_to_stable take either,
@@ -48,7 +49,6 @@ extraction reads power k's coefficients from one coefficient_row(k).
 
 from __future__ import annotations
 
-import time
 from collections import namedtuple
 from itertools import chain, compress, repeat
 from math import factorial, perm, prod
@@ -88,6 +88,9 @@ def _check_rank(n: int) -> None:
 def _check_labels(labels: Labels, n: int) -> None:
     if len(labels) != n:
         raise ValueError(f"expected {n} labels, got {len(labels)}")
+    for label in labels:
+        if type(label) is not int:
+            raise ValueError(f"labels must be ints, got {label!r} in {tuple(labels)}")
     if min(labels) < 0:
         raise ValueError(f"labels must be nonnegative, got {labels}")
 
@@ -319,15 +322,17 @@ class StableLabel(namedtuple("StableLabel", ["left", "right"])):
 
     Tracelessness forces equal box counts on the two sides; ((p,), (p,))
     names the leading irrep of block p.  Both are checked when a label
-    is made.  An immutable named tuple ``(left, right)``: it compares,
-    hashes and sorts as that plain tuple, so
-    ``StableLabel((1,), (1,)) == ((1,), (1,))``.
+    is made, and each side must be a tuple of ints.  An immutable named
+    tuple ``(left, right)``: it compares, hashes and sorts as that plain
+    tuple, so ``StableLabel((1,), (1,)) == ((1,), (1,))``.
     """
 
     __slots__ = ()
 
     def __new__(cls, left: tuple[int, ...], right: tuple[int, ...]) -> StableLabel:
         for side in (left, right):
+            if type(side) is not tuple or not all(type(part) is int for part in side):
+                raise ValueError(f"sides must be tuples of ints, got {side!r}")
             # Weakly decreasing with a positive last part: all parts positive.
             if side and (side[-1] <= 0 or not all(map(ge, side, side[1:]))):
                 raise ValueError(f"not a partition: {side}")
@@ -423,20 +428,20 @@ class PowerCheck(
         )
 
 
-class VerificationReport(
-    namedtuple("VerificationReport", ["k_max", "rank", "passed", "checks", "seconds"])
-):
+class VerificationReport(namedtuple("VerificationReport", ["k_max", "rank", "checks"])):
     """Outcome of certifying the coefficient formulas at one rank: the
-    immutable named tuple ``(k_max, rank, passed, checks, seconds)``,
-    ``checks`` a list of :class:`PowerCheck` and ``seconds`` the wall
-    time of the certification."""
+    immutable named tuple ``(k_max, rank, checks)``, ``checks`` a list of
+    :class:`PowerCheck`; :attr:`passed` holds when every check passes."""
 
     __slots__ = ()
 
+    @property
+    def passed(self) -> bool:
+        return all(check.passed for check in self.checks)
+
     def to_payload(self) -> dict:
         """JSON-ready form: integers as decimal strings, stable labels as
-        pairs of partition arrays.  Timings stay out of the payload so
-        output is byte-stable across runs."""
+        pairs of partition arrays."""
         return {
             "k_max": self.k_max,
             "rank": self.rank,
@@ -578,12 +583,5 @@ def verify_stable_decomposition(k_max: int, n: int) -> VerificationReport:
     root lattice, with no stable pair to report it under, raises
     ArithmeticError.
     """
-    started = time.perf_counter()
     checks = [check for check, _block in _certified_powers(k_max, n)]
-    return VerificationReport(
-        k_max=k_max,
-        rank=n,
-        passed=all(c.passed for c in checks),
-        checks=checks,
-        seconds=time.perf_counter() - started,
-    )
+    return VerificationReport(k_max=k_max, rank=n, checks=checks)

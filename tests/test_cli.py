@@ -435,7 +435,6 @@ def test_verify_oracle_failure_maps_to_exit_one(capsys, monkeypatch):
     failing = VerificationReport(
         k_max=1,
         rank=3,
-        passed=False,
         checks=[
             PowerCheck(
                 power=1,
@@ -448,7 +447,6 @@ def test_verify_oracle_failure_maps_to_exit_one(capsys, monkeypatch):
                 residual={},
             )
         ],
-        seconds=0.0,
     )
     monkeypatch.setattr(
         "adjoint_powers.cli.lie.verify_stable_decomposition", lambda *a: failing

@@ -21,6 +21,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from conftest import partitions_of
 from hypothesis import given, settings, strategies as st
 
 from adjoint_powers import (
@@ -552,6 +553,19 @@ def test_stable_label_validation():
         StableLabel((2,), (1,))  # unequal box counts
     with pytest.raises(ValueError):
         StableLabel((0,), (0,))  # zero parts are not stored
+    with pytest.raises(ValueError, match="tuples of ints"):
+        StableLabel([1], [1])  # a list side would make a label that cannot hash
+
+
+@pytest.mark.parametrize("part", [1.5, 2.0, True])
+def test_non_int_parts_and_labels_are_refused(part):
+    # A float or bool passes for an int in the arithmetic, which would
+    # name a "label" no irrep has.
+    with pytest.raises(ValueError, match="tuples of ints"):
+        StableLabel((part,), (part,))
+    for convert in (weyl_dimension, dynkin_to_stable):
+        with pytest.raises(ValueError, match=re.escape(f"got {part!r} in")):
+            convert((part, 0, 0, part), 4)
 
 
 def test_stable_conversions_examples():
@@ -591,17 +605,10 @@ def test_round_trip_over_power_labels():
 
 @st.composite
 def stable_labels_with_rank(draw):
-    def partition(boxes):
-        parts = []
-        while boxes:
-            part = draw(st.integers(1, min(boxes, parts[-1] if parts else boxes)))
-            parts.append(part)
-            boxes -= part
-        return tuple(parts)
-
     boxes = draw(st.integers(0, 8))
-    label = StableLabel(partition(boxes), partition(boxes))
-    n = draw(st.integers(max(1, len(label.left) + len(label.right) - 1), 14))
+    label = StableLabel(draw(partitions_of(boxes)), draw(partitions_of(boxes)))
+    # Two sides of 8 one-box rows need rank 15, the most any 8-box label needs.
+    n = draw(st.integers(max(1, len(label.left) + len(label.right) - 1), 15))
     return label, n
 
 

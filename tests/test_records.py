@@ -2,6 +2,7 @@
 equality, hashing and order are those of its fields as a plain tuple."""
 
 import pytest
+from conftest import partitions_of
 from hypothesis import given, strategies as st
 
 from adjoint_powers import (
@@ -38,9 +39,7 @@ RECORDS = {
     "DecompositionTable": decomposition_table(1),
     "StableLabel": StableLabel((2, 1), (3,)),
     "PowerCheck": power_check(residual={StableLabel((1,), (1,)): (0, 2)}),
-    "VerificationReport": VerificationReport(
-        k_max=1, rank=3, passed=True, checks=[power_check()], seconds=0.5
-    ),
+    "VerificationReport": VerificationReport(k_max=1, rank=3, checks=[power_check()]),
 }
 
 REPRS = {
@@ -63,9 +62,9 @@ REPRS = {
         " residual={StableLabel(left=(1,), right=(1,)): (0, 2)})"
     ),
     "VerificationReport": (
-        "VerificationReport(k_max=1, rank=3, passed=True, checks=[PowerCheck(power=1,"
+        "VerificationReport(k_max=1, rank=3, checks=[PowerCheck(power=1,"
         " dimension_expected=15, dimension_observed=15, trivial_expected=0, trivial_observed=0,"
-        " leading_ok=True, negative_entries={}, residual={})], seconds=0.5)"
+        " leading_ok=True, negative_entries={}, residual={})])"
     ),
 }
 
@@ -100,18 +99,17 @@ def test_power_check_requires_every_field():
     assert power_check(residual={label: (0, -1)}).passed is False
 
 
+def test_verification_report_verdict_is_its_checks():
+    # The verdict is derived, not stored, so it cannot disagree with the checks.
+    assert "passed" not in VerificationReport._fields
+    assert VerificationReport(1, 3, [power_check()]).passed is True
+    assert VerificationReport(1, 3, [power_check(), power_check(leading_ok=False)]).passed is False
+
+
 @st.composite
 def stable_labels(draw):
-    def partition(boxes):
-        parts = []
-        while boxes:
-            part = draw(st.integers(1, min(boxes, parts[-1] if parts else boxes)))
-            parts.append(part)
-            boxes -= part
-        return tuple(parts)
-
     boxes = draw(st.integers(0, 6))
-    return StableLabel(partition(boxes), partition(boxes))
+    return StableLabel(draw(partitions_of(boxes)), draw(partitions_of(boxes)))
 
 
 @given(stable_labels(), stable_labels())
