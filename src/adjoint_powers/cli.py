@@ -5,8 +5,10 @@ derangements), the tensor-power coefficient rows, the generating-function
 series, and the reports of the two verification suites, which the library
 runs (``coefficients._route_checks`` and ``lie.verify_stable_decomposition``).
 This module parses, refuses a request above its cost limit, times the
-oracle and prints.  Output on stdout is byte-identical for identical
-arguments; diagnostics (including the oracle's timing) go to stderr.
+oracle and renders: every record's text and JSON forms, the oracle
+report's included, are built here, none in the library.  Output on stdout
+is byte-identical for identical arguments; diagnostics (including the
+oracle's timing) go to stderr.
 
 Every command prints through one printer, ``_print_output``, the only
 code here that branches on the format.  A command hands it each form of
@@ -296,19 +298,49 @@ def _label_text(label: lie.StableLabel) -> str:
     return f"({list(label.left)},{list(label.right)})"
 
 
+def _report_payload(report: lie.VerificationReport) -> dict:
+    """The oracle report's JSON: integers as decimal strings, labels as partition pairs."""
+    return {
+        "k_max": report.k_max,
+        "rank": report.rank,
+        "passed": report.passed,
+        "checks": [
+            {
+                "k": check.power,
+                "dimension_expected": str(check.dimension_expected),
+                "dimension_observed": str(check.dimension_observed),
+                "trivial_expected": str(check.trivial_expected),
+                "trivial_observed": str(check.trivial_observed),
+                "leading_ok": check.leading_ok,
+                "negative_entries": [
+                    {"label": list(map(list, label)), "multiplicity": str(mult)}
+                    for label, mult in sorted(check.negative_entries.items())
+                ],
+                "residual": [
+                    {"label": list(map(list, label)), "expected": str(exp), "observed": str(obs)}
+                    for label, (exp, obs) in sorted(check.residual.items())
+                ],
+            }
+            for check in report.checks
+        ],
+    }
+
+
 def _cmd_verify_oracle(args) -> int:
     _require_sizes(kmax=(0, args.kmax, ORACLE_KMAX_LIMIT), n=(1, args.n, ORACLE_RANK_LIMIT))
     started = time.perf_counter()
     report = lie.verify_stable_decomposition(args.kmax, args.n)
     seconds = time.perf_counter() - started
-    _print_output(args.format, json=report.to_payload(), text=_report_lines(report))
+    _print_output(args.format, json=_report_payload(report), text=_report_lines(report))
     print(f"verified k_max={report.k_max} rank={report.rank} in {seconds:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1
 
 
 def run(argv: list[str] | None = None) -> int:
-    # Table entries outgrow CPython's default 4,300-digit int-to-str limit
-    # (d_2000 has 5,736 digits); interpreters before 3.10.7 have no limit.
+    # The tables print through Decimal, but coeffs --k and series print ints
+    # through str, past CPython's default limit of 4,300 digits: coeffs --k 1600
+    # holds a 4,466-digit entry, series --k 0 --order 1800 a 5,075-digit
+    # denominator.  Interpreters before 3.10.7 have no limit.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser = build_parser()

@@ -23,8 +23,8 @@ route-selecting argument.  The closed form has one body,
 What the CLI prints: ``coeffs --k`` prints :func:`coefficient_row`, the
 body's row on ``int``, which :func:`coefficient` reads; ``coeffs --upto``
 prints its rows 1..K on ``decimal.Decimal`` in the CLI's exact context.
-``verify combinatorics`` compares its row for each power from 0 with
-:func:`decomposition_rows` and with the difference table divided by j!,
+``verify combinatorics`` compares its row for each power from 0 with the
+recurrence's, seed row (1,) first, and with the difference table over j!,
 weighted by ``math.comb``; that suite, every cross-check of the routes of
 this module and of :mod:`combinatorics`, runs here, in :func:`_route_checks`.
 """
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import chain, islice
+from itertools import islice
 from operator import mul
 
 from . import combinatorics
@@ -149,16 +149,18 @@ def decomposition_rows(max_power: int) -> Iterator[CoefficientRow]:
     :func:`derangement_numbers`, and steps right through
     c_{j+1}^k = ((k-j) c_j^k + k c_j^{k-1}) / (j+1)^2, the division
     checked exact.  The power-0 row (1,) seeds the recursion, and only
-    the row before is held.  The argument is checked at the call, before
-    the first row is asked for.
+    the row before is held; the stream behind it, which ``verify
+    combinatorics`` reads from power 0, yields the seed first.  The
+    argument is checked at the call, before the first row is asked for.
     """
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
-    return _decomposition_rows(max_power)
+    return islice(_decomposition_rows(max_power), 1, None)
 
 
 def _decomposition_rows(max_power: int) -> Iterator[CoefficientRow]:
     previous: tuple[int, ...] = (1,)
+    yield CoefficientRow(0, previous)
     seeds = islice(derangement_numbers(), 1, max_power + 1)
     for k, d_k in enumerate(seeds, start=1):
         values = [d_k]
@@ -249,16 +251,12 @@ def _route_checks(limit: int) -> list[tuple[str, bool, str]]:
 
     def coefficient_routes() -> None:
         binomials = binomial_rows(limit)
-        # The recurrence starts at power 1: its seed (1,) is not one of its rows.
-        recurrence_rows = decomposition_rows(limit) if limit else ()
-        rows = zip(table_route(limit), chain([None], recurrence_rows), strict=True)
+        rows = zip(table_route(limit), _decomposition_rows(limit), strict=True)
         for k, (table_row, recurrence_row) in enumerate(rows):
             printed_row = _coefficient_row(k, 1)  # what both ``coeffs`` forms print
             # The paper's closed form: the difference table over j!, weighted by math.comb.
             closed_row = list(map(mul, binomials[k], table_row))
-            # Power 0's printed row is compared with the closed form alone.
-            recurrence_values = recurrence_row.values if k else closed_row
-            entries = zip(range(k + 1), printed_row, closed_row, recurrence_values, strict=True)
+            entries = zip(range(k + 1), printed_row, closed_row, recurrence_row.values, strict=True)
             for j, printed, closed, recurrence in entries:
                 if not printed == closed == recurrence:
                     raise AssertionError(f"(k,j)=({k},{j})")

@@ -85,14 +85,22 @@ def _check_rank(n: int) -> None:
         raise ValueError(f"rank must be >= 1, got {n}")
 
 
-def _check_labels(labels: Labels, n: int) -> None:
-    if len(labels) != n:
-        raise ValueError(f"expected {n} labels, got {len(labels)}")
-    for label in labels:
-        if type(label) is not int:
-            raise ValueError(f"labels must be ints, got {label!r} in {tuple(labels)}")
-    if min(labels) < 0:
-        raise ValueError(f"labels must be nonnegative, got {labels}")
+def _check_labels(keys, n: int) -> None:
+    """Refuse a state, or a 1-tuple of labels, unless every label holds n
+    nonnegative ints: one C-level pass per property, the int pass skipped
+    for bytes keys; a failed pass loops only to name the first bad label."""
+    entries = () if set(map(type, keys)) == {bytes} else chain.from_iterable(keys)
+    valid = set(map(len, keys)) == {n} and set(map(type, entries)) <= {int}
+    if valid and min(map(min, keys)) >= 0:
+        return
+    for labels in keys:
+        if len(labels) != n:
+            raise ValueError(f"expected {n} labels, got {len(labels)}")
+        for label in labels:
+            if type(label) is not int:
+                raise ValueError(f"labels must be ints, got {label!r} in {tuple(labels)}")
+        if min(labels) < 0:
+            raise ValueError(f"labels must be nonnegative, got {labels}")
 
 
 def trivial_labels(n: int) -> Labels:
@@ -210,7 +218,7 @@ def weyl_dimension(labels: Labels, n: int) -> int:
     (:func:`_partition_dimension`); the division is exact and checked.
     """
     _check_rank(n)
-    _check_labels(labels, n)
+    _check_labels((labels,), n)
     left, right, _ = _split(labels, n)
     return _pair_dimension(left, right, n + 1, {})
 
@@ -260,9 +268,7 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
     _check_rank(n)
     if not state:
         return {}
-    if set(map(len, state)) != {n} or min(map(min, state)) < 0:
-        for labels in state:
-            _check_labels(labels, n)
+    _check_labels(state, n)
     if set(map(type, state.values())) != {int} or min(state.values()) <= 0:
         for labels, mult in state.items():
             if type(mult) is not int or mult <= 0:
@@ -384,7 +390,7 @@ def dynkin_to_stable(labels: Labels, n: int) -> StableLabel:
     equal parts (:func:`_split`).
     """
     _check_rank(n)
-    _check_labels(labels, n)
+    _check_labels((labels,), n)
     left, right, remainder = _split(labels, n)
     if remainder:
         raise ValueError(f"{tuple(labels)} is not a weight of an adjoint tensor power")
@@ -438,42 +444,6 @@ class VerificationReport(namedtuple("VerificationReport", ["k_max", "rank", "che
     @property
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
-
-    def to_payload(self) -> dict:
-        """JSON-ready form: integers as decimal strings, stable labels as
-        pairs of partition arrays."""
-        return {
-            "k_max": self.k_max,
-            "rank": self.rank,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "k": c.power,
-                    "dimension_expected": str(c.dimension_expected),
-                    "dimension_observed": str(c.dimension_observed),
-                    "trivial_expected": str(c.trivial_expected),
-                    "trivial_observed": str(c.trivial_observed),
-                    "leading_ok": c.leading_ok,
-                    "negative_entries": [
-                        {"label": _label_payload(lab), "multiplicity": str(m)}
-                        for lab, m in sorted(c.negative_entries.items())
-                    ],
-                    "residual": [
-                        {
-                            "label": _label_payload(lab),
-                            "expected": str(exp),
-                            "observed": str(obs),
-                        }
-                        for lab, (exp, obs) in sorted(c.residual.items())
-                    ],
-                }
-                for c in self.checks
-            ],
-        }
-
-
-def _label_payload(label: StableLabel) -> list[list[int]]:
-    return [list(label.left), list(label.right)]
 
 
 def _certified_powers(k_max: int, n: int):

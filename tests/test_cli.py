@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from adjoint_powers import (
     PowerCheck,
+    StableLabel,
     VerificationReport,
     coefficient,
     decomposition_rows,
@@ -25,9 +26,11 @@ from adjoint_powers import (
     euler_rows,
     euler_table,
     higher_derangement_rows,
+    verify_stable_decomposition,
 )
 from adjoint_powers import cli, combinatorics
 from adjoint_powers.cli import run
+from adjoint_powers.serialize import canonical_json
 
 
 def invoke(argv, capsys):
@@ -261,6 +264,14 @@ def bump_higher_kernel(original):
     return planted
 
 
+def bump_decomposition_row(original):
+    def planted(max_power):
+        for row in original(max_power):
+            yield row._replace(values=(*row.values[:3], row.values[3] + 1)) if row.power == 3 else row
+
+    return planted
+
+
 def drop_a_derangement(original):
     # Block 0 of k = 4 ends with (3, 0, 1, 2), which has no fixed point.
     def planted(k):
@@ -275,7 +286,8 @@ def drop_a_derangement(original):
 # (module, route body, planted wrong entry, FAIL lines of ``verify combinatorics --max 4``).
 # The table route also feeds the closed form weighted by math.comb; the
 # higher-derangement kernel feeds the series check; the closed-form body builds the
-# rows ``coeffs --k`` and ``coeffs --upto`` print, from no table; the block builder
+# rows ``coeffs --k`` and ``coeffs --upto`` print, from no table; the recurrence
+# stream, seed row (1,) first, is the third coefficient route; the block builder
 # feeds the enumeration oracle.  The sum formula is swept once, as a higher-derangement
 # route: the coefficient routes compare no contraction sum of their own.
 PLANTED_ROUTES = [
@@ -304,6 +316,11 @@ PLANTED_ROUTES = [
         "coefficients", "_coefficient_row", bump_coefficient_row,
         ["FAIL coefficient routes agree (0..4): (k,j)=(3,1)"],
         id="coefficient_row",
+    ),
+    pytest.param(
+        "coefficients", "_decomposition_rows", bump_decomposition_row,
+        ["FAIL coefficient routes agree (0..4): (k,j)=(3,3)"],
+        id="decomposition_rows",
     ),
     pytest.param(
         "combinatorics", "_recurrence_columns", bump_recurrence_route,
@@ -476,6 +493,38 @@ def test_oracle_arithmetic_fault_exits_one_without_a_report(name, plant, capsys,
     code, out, err = invoke(["verify", "oracle", "--kmax", "2", "--n", "3"], capsys)
     assert (code, out) == (1, "")
     assert err.startswith("verification failure:")
+
+
+def test_verify_report_payload():
+    # The oracle report's JSON form is built in the CLI, as every record's is.
+    report = verify_stable_decomposition(2, 4)
+    payload = cli._report_payload(report)
+    assert payload["passed"] is True
+    assert payload["k_max"] == 2 and payload["rank"] == 4
+    for check in payload["checks"]:
+        assert isinstance(check["dimension_observed"], str)
+        assert isinstance(check["trivial_expected"], str)
+        assert check["residual"] == [] and check["negative_entries"] == []
+    text = canonical_json(payload)
+    assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text
+
+
+def test_report_payload_names_failed_labels_as_partition_pairs():
+    label = StableLabel((2, 1), (3,))
+    check = PowerCheck(
+        power=3,
+        dimension_expected=63**3,
+        dimension_observed=63**3,
+        trivial_expected=2,
+        trivial_observed=2,
+        leading_ok=False,
+        negative_entries={label: -1},
+        residual={label: (0, 4)},
+    )
+    (payload,) = cli._report_payload(VerificationReport(3, 7, [check]))["checks"]
+    assert payload["leading_ok"] is False
+    assert payload["negative_entries"] == [{"label": [[2, 1], [3]], "multiplicity": "-1"}]
+    assert payload["residual"] == [{"label": [[2, 1], [3]], "expected": "0", "observed": "4"}]
 
 
 JSON_COMMANDS = [
@@ -773,8 +822,9 @@ GOLDEN_DIGESTS = [
     ("coeffs --upto 1 --format json", 0, "2ab0bd009e10f7f91d0d7dbe0291d709067e430326c9bff1241450600384d067"),
     ("verify oracle --kmax 0 --n 1 --format text", 0, "24360fd6e4be1c4e361ce73b0bb4518c46c3fcf1b6dcf7587605cae086af0514"),
     ("verify oracle --kmax 0 --n 1 --format json", 0, "9bf402a6b42b86256d88c46fbeeb18058364901f19d242093b8d57abda3139c1"),
-    # Values above CPython's 4,300-digit int-to-str default, and rows of
-    # 122 and 151 cells, across several of the writers' 32-cell pieces.
+    # Values above CPython's 4,300-digit int-to-str default, which the tables
+    # print through Decimal, and rows of 122 and 151 cells, across several of
+    # the writers' 32-cell pieces.
     ("table derangement --max 2000 --format csv", 0, "99b1e0505609fef3b4c01f3b3d75c40642da6095ae1491157f465745e583fc80"),
     ("table euler --max 120 --format markdown", 0, "92c7237f7bc0bc72b7db1a318cb6086d638376b66a76f89da32104a80c3955f5"),
     ("table higher --max 150 --format json", 0, "990d7c7d576bee2a36fe8d6c7b98e2854266ccfeb920075b11f0ae0395d4816a"),
@@ -788,6 +838,31 @@ def test_stdout_is_byte_identical_to_golden(command, exit_code, digest, capsys):
     code, out, _ = invoke(command.split(), capsys)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Commands that print ints through str past CPython's 4,300-digit default, which
+# ``run`` lifts: a 4,466-digit entry, and a 5,075-digit numerator and denominator.
+INT_STR_DIGESTS = [
+    ("coeffs --k 1600", "84852dbc710a2b40a443a30cb3dd96e497ef7cd2b124cc788dee9508355056d4"),
+    ("series --k 0 --order 1800", "52fa018cbcc4e9ec993a5a08f508af9bab2fbbb85e5a5ffcca071794399d41ac"),
+]
+
+
+@pytest.mark.parametrize("command,digest", INT_STR_DIGESTS, ids=[c for c, _ in INT_STR_DIGESTS])
+def test_ints_past_the_str_digit_default_print_in_a_fresh_interpreter(command, digest):
+    # The lift is process-wide, so an earlier run in this process would hide
+    # its loss: the command runs alone, without the environment's own lift.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    result = subprocess.run(
+        [sys.executable, "-m", "adjoint_powers", *command.split()],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert max(map(len, result.stdout.split(b" | "))) > 4300
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
 
 
 def test_readme_commands_have_golden_digests():

@@ -1,23 +1,28 @@
 """Package surface: the package exports exactly the pinned public names,
 each module's among them, every private helper is used, every name the
-benchmark's traced run wraps exists, the CLI imports only what a command
-runs, the README's library example holds, and the test configuration
-reports a failing property instead of crashing."""
+benchmark's traced run wraps exists, every CLI limit the CI workflow
+reads is an int and its peak-RSS wrapper keeps a command's exit code, the
+CLI imports only what a command runs, the README's library example holds,
+and the test configuration reports a failing property instead of crashing."""
 
 import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
+import textwrap
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
 
 import adjoint_powers
-from adjoint_powers import coefficients, combinatorics, lie
+from adjoint_powers import cli, coefficients, combinatorics, lie
 
 ROOT = Path(__file__).parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 @pytest.mark.parametrize("module", [combinatorics, coefficients, lie], ids=lambda m: m.__name__)
@@ -97,6 +102,30 @@ def test_benchmark_traced_attributes_resolve():
     for module, attr in harness.TRACED:
         owner = importlib.import_module(f"adjoint_powers.{module}")
         assert callable(getattr(owner, attr, None)), f"{module}.{attr}"
+
+
+def test_workflow_reads_int_limits_of_the_cli():
+    # Each at-limit job of the workflow reads its sizes as print(cli.NAME); a
+    # name the CLI drops or turns into a non-int breaks only that job.
+    names = re.findall(r"print\(cli\.(\w+)\)", WORKFLOW.read_text())
+    assert names
+    bad = sorted({name for name in names if type(getattr(cli, name, None)) is not int})
+    assert not bad, bad
+
+
+def test_workflow_peak_rss_wrapper_keeps_the_exit_code():
+    # The PEAK_RSS snippet, cut from the YAML as text: the block under its key.
+    lines = WORKFLOW.read_text().splitlines()
+    start = lines.index("  PEAK_RSS: |") + 1
+    block = takewhile(lambda line: line.startswith("    ") or not line.strip(), lines[start:])
+    snippet = textwrap.dedent("\n".join(block))
+    child = [sys.executable, "-c", "raise SystemExit(3)"]
+    result = subprocess.run(
+        [sys.executable, "-c", snippet, *child], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 3
+    line = rf"peak RSS \d+\.\d MB, wall \d+\.\d\d s: {re.escape(' '.join(child))}\n"
+    assert re.fullmatch(line, result.stderr), result.stderr
 
 
 # Modules a command does not need: dataclasses and what it pulls in
