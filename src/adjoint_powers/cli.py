@@ -65,8 +65,8 @@ SERIES_ORDER_LIMIT = 2500
 #: derangements adds O(max) products per entry, O(max^3) big-integer steps in all.
 COMBINATORICS_LIMIT = 300
 #: Largest ``verify oracle --kmax``: the irreps roughly double with each power.
-#: ``verify oracle --kmax 16 --n 200``, the largest request, took 6.8-7.5 s and
-#: 200 MB in seven runs (earlier ones 5.5-12 s); ``--kmax 17 --n 120`` took 13 s.
+#: ``verify oracle --kmax 16 --n 200``, the largest request, took 5.1-5.9 s and
+#: 200 MB in six runs (earlier ones 5.5-12 s); ``--kmax 17 --n 120`` took 13 s.
 ORACLE_KMAX_LIMIT = 16
 #: Largest ``verify oracle --n``: each label's packed key, its bytes and the
 #: pass over them that measures it grow linearly with the rank.

@@ -13,7 +13,7 @@ power k is computed by three routes:
   :func:`combinatorics._closed_form`,
 * :func:`decomposition_rows`: the two-term recurrence
   c_{j+1}^k = ((k-j) c_j^k + k c_j^{k-1}) / (j+1)^2 seeded by c_0^k = d_k,
-  one row at a time; :func:`decomposition_table` keeps every row.
+  one row at a time.
 
 All three must agree entry for entry; every division is exact and
 checked.  Each route has one public function, and none takes a
@@ -34,22 +34,21 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import islice
+import math
 from operator import mul
 
 from . import combinatorics
-from .combinatorics import ExactDivisionError, _binomial_row, binomial, derangement_numbers, exact_div
+from .combinatorics import ExactDivisionError, _binomial_row, derangement_numbers, exact_div
 
 # Unused here, but kept bound: perfbench/run.py traces coefficients.canonical_json.
 from .serialize import canonical_json
 
 __all__ = [
     "CoefficientRow",
-    "DecompositionTable",
     "coefficient",
     "coefficient_by_contraction",
     "coefficient_row",
     "decomposition_rows",
-    "decomposition_table",
 ]
 
 
@@ -58,18 +57,6 @@ class CoefficientRow(namedtuple("CoefficientRow", ["power", "values"])):
     immutable named tuple ``(power, values)``."""
 
     __slots__ = ()
-
-
-class DecompositionTable(namedtuple("DecompositionTable", ["max_power", "rows"])):
-    """Coefficient rows for powers 1..max_power, as the immutable named
-    tuple ``(max_power, rows)``, ``rows`` a tuple of :class:`CoefficientRow`."""
-
-    __slots__ = ()
-
-    def row(self, k: int) -> CoefficientRow:
-        if not 1 <= k <= self.max_power:
-            raise ValueError(f"row {k} outside table of max power {self.max_power}")
-        return self.rows[k - 1]
 
 
 def coefficient(k: int, j: int) -> int:
@@ -91,7 +78,7 @@ def coefficient_by_contraction(k: int, p: int) -> int:
     if k < 0 or p < 0 or p > k:
         raise ValueError(f"coefficient requires 0 <= p <= k, got ({k}, {p})")
     derangements = list(islice(derangement_numbers(), k + 1))
-    return binomial(k, p) * combinatorics._closed_form(k, _binomial_row(p), derangements)
+    return math.comb(k, p) * combinatorics._closed_form(k, _binomial_row(p), derangements)
 
 
 def coefficient_row(k: int) -> CoefficientRow:
@@ -137,11 +124,6 @@ def _coefficient_row(k: int, one) -> list:
     return row
 
 
-def decomposition_table(max_power: int) -> DecompositionTable:
-    """Rows 1..max_power built from the two-term recurrence."""
-    return DecompositionTable(max_power, tuple(decomposition_rows(max_power)))
-
-
 def decomposition_rows(max_power: int) -> Iterator[CoefficientRow]:
     """Coefficient rows 1..max_power from the two-term recurrence, one at a time.
 
@@ -168,6 +150,13 @@ def _decomposition_rows(max_power: int) -> Iterator[CoefficientRow]:
             values.append(exact_div((k - j) * values[j] + k * previous[j], (j + 1) ** 2))
         previous = tuple(values)
         yield CoefficientRow(k, previous)
+
+
+# Rows 1..max_power as a tuple, outside ``__all__``: kept callable only
+# because perfbench/run.py's TRACED wraps it; ROADMAP item 4 drops it
+# with its TRACED entry.
+def decomposition_table(max_power: int) -> tuple[CoefficientRow, ...]:
+    return tuple(decomposition_rows(max_power))
 
 
 def _route_checks(limit: int) -> list[tuple[str, bool, str]]:
@@ -203,7 +192,7 @@ def _route_checks(limit: int) -> list[tuple[str, bool, str]]:
                 raise AssertionError(f"k={k}")
 
     def divisibility() -> None:
-        factorials = [combinatorics.factorial(j) for j in range(limit + 1)]
+        factorials = [math.factorial(j) for j in range(limit + 1)]
         for k, row in enumerate(combinatorics.euler_rows(limit)):
             for j, entry in enumerate(row):
                 if entry % factorials[j]:
@@ -245,7 +234,7 @@ def _route_checks(limit: int) -> list[tuple[str, bool, str]]:
         for k in range(k_max + 1):
             series = combinatorics.egf_coefficients(k, 20)
             for m in range(21):
-                value = series.coefficient(m) * combinatorics.factorial(m)
+                value = series.coefficient(m) * math.factorial(m)
                 if value != rows[m + k][k]:
                     raise AssertionError(f"(k,m)=({k},{m})")
 

@@ -7,8 +7,10 @@ The central objects are the triangular difference table ``e[k][j]``
 (diagonal ``j!``, backward difference recurrence), the derangement
 numbers it produces in its first column, and the integer refinement
 ``d[n][k] = e[n][k] / k!``, which has a recurrence of its own and is
-built without dividing.  Every division that must come out even goes
-through :func:`exact_div`, which refuses to round.
+built without dividing.  Each table is a generator of its rows, which
+holds one row at a time; factorials and binomial coefficients are
+``math.factorial`` and ``math.comb``.  Every division that must come
+out even goes through :func:`exact_div`, which refuses to round.
 
 The three row kernels behind ``table`` (the difference table, the
 higher derangements and the derangement column) add, subtract and
@@ -40,21 +42,15 @@ from operator import mul
 __all__ = [
     "ENUMERATION_LIMIT",
     "ExactDivisionError",
-    "EulerTable",
-    "HigherDerangementTable",
     "PowerSeries",
-    "binomial",
     "derangement",
     "derangement_enumeration_oracle",
     "derangement_numbers",
     "egf_coefficients",
     "euler_rows",
-    "euler_table",
     "exact_div",
-    "factorial",
     "higher_derangement",
     "higher_derangement_rows",
-    "higher_derangement_table",
 ]
 
 #: Largest argument accepted by the brute-force derangement count: all 10!
@@ -81,51 +77,9 @@ def exact_div(numerator: int, denominator: int) -> int:
     return quotient
 
 
-def factorial(k: int) -> int:
-    """k! as an exact integer."""
-    if k < 0:
-        raise ValueError("factorial requires k >= 0")
-    return math.factorial(k)
-
-
-def binomial(k: int, j: int) -> int:
-    """Binomial coefficient C(k, j); zero when j exceeds k."""
-    if k < 0 or j < 0:
-        raise ValueError("binomial requires nonnegative arguments")
-    return math.comb(k, j)
-
-
 def _binomial_row(k: int) -> list[int]:
     """C(k, 0), C(k, 1), ..., C(k, k)."""
-    return [binomial(k, j) for j in range(k + 1)]
-
-
-class EulerTable(namedtuple("EulerTable", ["max_index", "entries"])):
-    """Triangular difference table with entries ``e[k][j]`` for 0 <= j <= k.
-
-    The diagonal is seeded with ``e[j][j] = j!`` and each row is swept
-    downward in j via ``e[k][j] = e[k][j+1] - e[k-1][j]``; column 0 then
-    holds the derangement numbers.  An immutable named tuple
-    ``(max_index, entries)``, ``entries`` a tuple of row tuples; like
-    every record of the package, it compares and hashes as that tuple.
-    """
-
-    __slots__ = ()
-
-    def entry(self, k: int, j: int) -> int:
-        if not 0 <= j <= k <= self.max_index:
-            raise ValueError(f"entry ({k}, {j}) outside table of size {self.max_index}")
-        return self.entries[k][j]
-
-    def row(self, k: int) -> tuple[int, ...]:
-        if not 0 <= k <= self.max_index:
-            raise ValueError(f"row {k} outside table of size {self.max_index}")
-        return self.entries[k]
-
-
-def euler_table(max_index: int) -> EulerTable:
-    """Build the difference table for all 0 <= j <= k <= max_index."""
-    return EulerTable(max_index, tuple(euler_rows(max_index)))
+    return [math.comb(k, j) for j in range(k + 1)]
 
 
 def euler_rows(max_index: int) -> Iterator[tuple[int, ...]]:
@@ -272,32 +226,7 @@ def _closed_form(n: int, binomials: list[int], derangements: list[int]) -> int:
     :func:`coefficients.coefficient_by_contraction` is C(n, k) times it."""
     k = len(binomials) - 1
     total = sum(map(mul, binomials, reversed(derangements[n - k : n + 1])))
-    return exact_div(total, factorial(k))
-
-
-class HigherDerangementTable(namedtuple("HigherDerangementTable", ["max_index", "entries"])):
-    """Triangular table of d[n][k] = e[n][k] / k! for 0 <= k <= n <= max_index.
-
-    An immutable named tuple ``(max_index, entries)``, ``entries`` a
-    tuple of row tuples.
-    """
-
-    __slots__ = ()
-
-    def entry(self, n: int, k: int) -> int:
-        if not 0 <= k <= n <= self.max_index:
-            raise ValueError(f"entry ({n}, {k}) outside table of size {self.max_index}")
-        return self.entries[n][k]
-
-    def row(self, n: int) -> tuple[int, ...]:
-        if not 0 <= n <= self.max_index:
-            raise ValueError(f"row {n} outside table of size {self.max_index}")
-        return self.entries[n]
-
-
-def higher_derangement_table(max_index: int) -> HigherDerangementTable:
-    """All d[n][k] = e[n][k] / k! for 0 <= k <= n <= max_index, division-free."""
-    return HigherDerangementTable(max_index, tuple(higher_derangement_rows(max_index)))
+    return exact_div(total, math.factorial(k))
 
 
 def higher_derangement_rows(max_index: int) -> Iterator[tuple[int, ...]]:
@@ -324,6 +253,17 @@ def _higher_derangement_rows(max_index: int, one) -> Iterator[tuple]:
             row[k] = (k + 1) * row[k + 1] - previous[k]
         previous = tuple(row)
         yield previous
+
+
+# Whole tables, outside ``__all__``: kept callable only because
+# perfbench/run.py's TRACED wraps them; ROADMAP item 4 drops them with
+# their TRACED entries.
+def euler_table(max_index: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(euler_rows(max_index))
+
+
+def higher_derangement_table(max_index: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(higher_derangement_rows(max_index))
 
 
 class PowerSeries(namedtuple("PowerSeries", ["parameter", "order", "coefficients"])):
@@ -361,12 +301,12 @@ def egf_coefficients(k: int, order: int) -> PowerSeries:
         raise ValueError("order must be >= 0")
     from fractions import Fraction
 
-    binomials = [binomial(j + k, k) for j in range(order + 1)]
+    binomials = [math.comb(j + k, k) for j in range(order + 1)]
     coefficients = []
     for m in range(order + 1):
         total = 0
         for i in range(m + 1):
             term = binomials[m - i]
             total = total * i + (-term if i & 1 else term)
-        coefficients.append(Fraction(total, factorial(m)))
+        coefficients.append(Fraction(total, math.factorial(m)))
     return PowerSeries(k, order, tuple(coefficients))

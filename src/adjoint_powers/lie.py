@@ -44,7 +44,10 @@ dimension and the swapped stable pair, so a label whose dual is
 already measured takes both from it, and either way the label is
 stored once.  At (10, 19) the certification measures 1,861 of the
 3,583 distinct labels and computes D(N) for 139 partitions.  Block
-extraction reads power k's coefficients from one coefficient_row(k).
+extraction reads power k's coefficients from one coefficient_row(k),
+and block k is compared label by label with its closed form, f^lambda
+f^mu copies of each pair [lambda, mu] of partitions of k, f^lambda
+counted by the hook-length formula.
 """
 
 from __future__ import annotations
@@ -397,6 +400,21 @@ def dynkin_to_stable(labels: Labels, n: int) -> StableLabel:
     return StableLabel(left, right)
 
 
+def _partitions(boxes: int, cap: int = 0) -> list[tuple[int, ...]]:
+    """Every partition of ``boxes`` with no part above ``cap`` (if given),
+    as weakly decreasing positive parts, largest first; 0 has only ()."""
+    parts = range(min(boxes, cap or boxes), 0, -1)
+    return [(part, *rest) for part in parts for rest in _partitions(boxes - part, part)] or [()]
+
+
+def _tableaux(parts: tuple[int, ...]) -> int:
+    """f^lambda, the number of standard Young tableaux of shape lambda:
+    |lambda|! over the product of its hook lengths, divided exactly."""
+    heights = [sum(part > j for part in parts) for j in range(parts[0] if parts else 0)]
+    hooks = prod(part - j + heights[j] - i - 1 for i, part in enumerate(parts) for j in range(part))
+    return exact_div(factorial(sum(parts)), hooks)
+
+
 def _check_stable_range(k_max: int, n: int) -> None:
     """Refuse a power and rank outside the stable range 2*k_max <= n+1."""
     if k_max < 0:
@@ -453,8 +471,12 @@ def _certified_powers(k_max: int, n: int):
     every earlier block weighted by its coefficient, so the weighted
     block sum equals the power by construction; a miscounted coefficient
     leaves labels without k boxes per side in block k, recorded as a
-    residual (expected 0, observed m).  The stable range is checked
-    before the first power.
+    residual (expected 0, observed m).  Each pair of partitions lambda,
+    mu of k is then compared with its count f^lambda f^mu
+    (:func:`_tableaux`), and a mismatch recorded as (expected, observed),
+    so a fault that moves multiplicity between a label and its dual,
+    which keeps every other check, fails too.  The stable range is
+    checked before the first power.
     """
     _check_stable_range(k_max, n)
     adjoint_dim = (n + 1) ** 2 - 1
@@ -508,6 +530,13 @@ def _certified_powers(k_max: int, n: int):
                 stable[lab] = stable.get(lab, 0) - c * m
         block = {lab: m for lab, m in stable.items() if m}
         blocks.append(block)
+        residual = {lab: (0, m) for lab, m in block.items() if sum(lab.left) != k}
+        shapes = [(parts, _tableaux(parts)) for parts in _partitions(k)]
+        for left, f in shapes:
+            for right, g in shapes:
+                observed = block.get((left, right), 0)
+                if observed != f * g:
+                    residual[StableLabel(left, right)] = (f * g, observed)
         check = PowerCheck(
             power=k,
             dimension_expected=adjoint_dim**k,
@@ -516,7 +545,7 @@ def _certified_powers(k_max: int, n: int):
             trivial_observed=trivial,
             leading_ok=block.get(leading_block_label(k), 0) == 1,
             negative_entries={lab: m for lab, m in block.items() if m < 0},
-            residual={lab: (0, m) for lab, m in block.items() if sum(lab.left) != k},
+            residual=residual,
         )
         yield check, block
 
@@ -545,13 +574,15 @@ def verify_stable_decomposition(k_max: int, n: int) -> VerificationReport:
     Per power: (a) total dimension balances against ((n+1)^2 - 1)^k,
     (b) the trivial rep appears exactly d_k times, (c) block k holds its
     leading label with multiplicity 1, (d) block k has no negative
-    multiplicity, (e) every label in block k has exactly k boxes per
-    side.  A failed check is data in the report, not an exception; a
-    power passes when :attr:`PowerCheck.passed` holds.  Two faults raise
-    instead, since no report could hold them: a Weyl quotient that is
-    not exact raises :class:`ExactDivisionError`, and a label off the
-    root lattice, with no stable pair to report it under, raises
-    ArithmeticError.
+    multiplicity, (e) block k is exactly the sum over pairs lambda, mu
+    of partitions of k of f^lambda f^mu [lambda, mu], f the number of
+    standard Young tableaux: every label has k boxes per side, and each
+    pair has that multiplicity.  A failed check is data in the report,
+    not an exception; a power passes when :attr:`PowerCheck.passed`
+    holds.  Two faults raise instead, since no report could hold them: a
+    Weyl quotient that is not exact raises :class:`ExactDivisionError`,
+    and a label off the root lattice, with no stable pair to report it
+    under, raises ArithmeticError.
     """
     checks = [check for check, _block in _certified_powers(k_max, n)]
     return VerificationReport(k_max=k_max, rank=n, checks=checks)

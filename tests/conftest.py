@@ -1,8 +1,11 @@
 """Every test run draws the same Hypothesis examples: one derandomized
 profile, with no example database, is registered and loaded here.  The
-strategies more than one test file draws from live here too."""
+strategies and the planted faults more than one test file uses live here
+too."""
 
 from hypothesis import settings, strategies as st
+
+from adjoint_powers import StableLabel, lie
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -17,3 +20,25 @@ def partitions_of(draw, boxes):
         parts.append(part)
         boxes -= part
     return tuple(parts)
+
+
+# The dual swap: one copy of [(5), (4,1)] moved onto its dual [(4,1), (5)].
+SWAPPED = (StableLabel((5,), (4, 1)), StableLabel((4, 1), (5,)))
+
+
+def plant_dual_swap(monkeypatch):
+    """Patch the oracle's tensor step so that, at rank 9, a power that
+    holds the first label of ``SWAPPED`` (power 5 is the first) has one
+    copy of it moved onto the second.  The move keeps the dimension, the
+    trivial count, the leading label and the box counts."""
+    step = lie.tensor_with_adjoint
+    source, target = (bytes(lie.stable_to_dynkin(label, 9)) for label in SWAPPED)
+
+    def planted(state, n):
+        out = step(state, n)
+        if source in out:
+            out[source] -= 1
+            out[target] += 1
+        return out
+
+    monkeypatch.setattr(lie, "tensor_with_adjoint", planted)

@@ -4,24 +4,23 @@ Each test prints a single pass/fail line (run with ``pytest -s`` to see
 them on success) and enforces the criterion's runtime budget.
 """
 
-import time
 from itertools import islice
+import math
+import time
 
 from adjoint_powers import combinatorics
 from adjoint_powers import (
     coefficient,
     coefficient_by_contraction,
-    decomposition_table,
+    decomposition_rows,
     derangement,
     derangement_enumeration_oracle,
     derangement_numbers,
     egf_coefficients,
     euler_rows,
-    euler_table,
     extract_stable_blocks,
-    factorial,
     higher_derangement,
-    higher_derangement_table,
+    higher_derangement_rows,
     verify_stable_decomposition,
 )
 
@@ -90,8 +89,8 @@ def test_criterion_1_golden_tables():
         assert tuple(derangement(k) for k in range(11)) == DERANGEMENTS
         assert tuple(islice(combinatorics._alternating_derangements(), 11)) == DERANGEMENTS
         assert tuple(row[0] for row in euler_rows(10)) == DERANGEMENTS
-        assert euler_table(9).entries == EULER_ROWS
-        assert higher_derangement_table(9).entries == HIGHER_ROWS
+        assert tuple(euler_rows(9)) == EULER_ROWS
+        assert tuple(higher_derangement_rows(9)) == HIGHER_ROWS
         assert sum(len(r) for r in EULER_ROWS) == sum(len(r) for r in HIGHER_ROWS) == 55
 
     _criterion(1, "golden tables", 1.0, body)
@@ -99,21 +98,18 @@ def test_criterion_1_golden_tables():
 
 def test_criterion_2_golden_coefficient_rows():
     def body():
-        table = decomposition_table(10)
         assert sum(len(v) for v in GOLDEN_ROWS.values()) == 65
         for k, values in GOLDEN_ROWS.items():
             assert tuple(coefficient(k, j) for j in range(k + 1)) == values
             assert tuple(coefficient_by_contraction(k, j) for j in range(k + 1)) == values
-            assert table.row(k).values == values
+        assert {row.power: row.values for row in decomposition_rows(10)} == GOLDEN_ROWS
 
     _criterion(2, "coefficient rows by three routes", 1.0, body)
 
 
 def test_criterion_3_cross_formula_sweep():
     def body():
-        table = decomposition_table(30)
-        for k in range(1, 31):
-            row = table.row(k).values
+        for k, row in decomposition_rows(30):
             for j in range(k + 1):
                 assert coefficient(k, j) == coefficient_by_contraction(k, j) == row[j]
         # The public function against the three private routes, each built
@@ -144,7 +140,7 @@ def test_criterion_5_generating_functions():
         for k in range(9):
             series = egf_coefficients(k, 20)
             for m in range(21):
-                assert series.coefficient(m) * factorial(m) == higher_derangement(m + k, k)
+                assert series.coefficient(m) * math.factorial(m) == higher_derangement(m + k, k)
 
     _criterion(5, "generating-function coefficients", 1.0, body)
 
@@ -174,9 +170,7 @@ def test_criterion_7_high_power_substitute():
     # power k <= 6 are the same at ranks 2k-1 and 2k+1.  Criterion 8
     # certifies powers up to 10 with the oracle directly, at rank 19.
     def body():
-        table = decomposition_table(10)
-        for k in range(5, 11):
-            row = table.row(k).values
+        for k, row in islice(decomposition_rows(10), 4, None):  # powers 5..10
             for j in range(k + 1):
                 assert coefficient(k, j) == coefficient_by_contraction(k, j) == row[j]
         assert extract_stable_blocks(3, 5) == extract_stable_blocks(3, 7)

@@ -12,6 +12,7 @@ from itertools import count, islice
 from pathlib import Path
 
 import pytest
+from conftest import plant_dual_swap
 from hypothesis import given, settings, strategies as st
 
 from adjoint_powers import (
@@ -20,11 +21,9 @@ from adjoint_powers import (
     VerificationReport,
     coefficient,
     decomposition_rows,
-    decomposition_table,
     derangement,
     derangement_numbers,
     euler_rows,
-    euler_table,
     higher_derangement_rows,
     verify_stable_decomposition,
 )
@@ -495,6 +494,30 @@ def test_oracle_arithmetic_fault_exits_one_without_a_report(name, plant, capsys,
     assert err.startswith("verification failure:")
 
 
+def test_planted_dual_swap_fails_the_oracle_command(capsys, monkeypatch):
+    # A dual swap at power 5 keeps every check but block 5's closed form.
+    plant_dual_swap(monkeypatch)
+    code, out, _ = invoke(["verify", "oracle", "--kmax", "5", "--n", "9"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-4:] == [
+        f"k=5 FAIL dimension={99**5} trivial=44",
+        "  residual ([4, 1],[5]): expected 4, observed 5",
+        "  residual ([5],[4, 1]): expected 4, observed 3",
+        "result: FAIL",
+    ]
+    assert [line.split()[1] for line in lines[1:6]] == ["ok"] * 5
+    code, out, _ = invoke(["verify", "oracle", "--kmax", "5", "--n", "9", "--format", "json"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert [check["k"] for check in payload["checks"] if check["residual"]] == [5]
+    assert payload["checks"][5]["residual"] == [
+        {"label": [[4, 1], [5]], "expected": "4", "observed": "5"},
+        {"label": [[5], [4, 1]], "expected": "4", "observed": "3"},
+    ]
+
+
 def test_verify_report_payload():
     # The oracle report's JSON form is built in the CLI, as every record's is.
     report = verify_stable_decomposition(2, 4)
@@ -566,10 +589,11 @@ def test_output_is_deterministic(argv, capsys):
 
 
 def test_streamed_json_matches_json_dumps_at_scale(capsys):
-    table = euler_table(120)
     reference = {
         "max_index": 120,
-        "rows": [{"k": k, "entries": [str(v) for v in table.row(k)]} for k in range(121)],
+        "rows": [
+            {"k": k, "entries": [str(v) for v in row]} for k, row in enumerate(euler_rows(120))
+        ],
     }
     code, out, _ = invoke(["table", "euler", "--max", "120", "--format", "json"], capsys)
     assert code == 0
@@ -578,7 +602,7 @@ def test_streamed_json_matches_json_dumps_at_scale(capsys):
         "max_power": 120,
         "rows": [
             {"k": row.power, "coefficients": [str(v) for v in row.values]}
-            for row in decomposition_table(120).rows
+            for row in decomposition_rows(120)
         ],
     }
     code, out, _ = invoke(["coeffs", "--upto", "120", "--format", "json"], capsys)

@@ -15,13 +15,14 @@ against Weyl's product over every pair of rows, on labels and on pairs
 of partitions.
 """
 
+import math
 import re
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from conftest import partitions_of
+from conftest import SWAPPED, partitions_of, plant_dual_swap
 from hypothesis import given, settings, strategies as st
 
 from adjoint_powers import (
@@ -773,6 +774,39 @@ def test_miscounted_coefficient_is_caught(error, monkeypatch):
         assert expected == 0 and observed != 0
     with pytest.raises(BlockExtractionError):
         extract_stable_blocks(4, 7)
+
+
+def test_planted_dual_swap_fails_its_power(monkeypatch):
+    # Every check but the block's closed form passes with the swap, so the
+    # block check alone fails power 5, naming both labels against their
+    # f^lambda f^mu = 1 * 4.
+    plant_dual_swap(monkeypatch)
+    report = verify_stable_decomposition(5, 9)
+    assert [check.passed for check in report.checks] == [True] * 5 + [False]
+    check = report.checks[5]
+    assert check.residual == {SWAPPED[0]: (4, 3), SWAPPED[1]: (4, 5)}
+    assert check._replace(residual={}).passed
+    with pytest.raises(BlockExtractionError, match="power 5 at rank 9"):
+        extract_stable_blocks(5, 9)
+
+
+def test_partition_counts():
+    # p(0..12), OEIS A000041; each partition once, as weakly decreasing parts.
+    counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    for boxes, count in enumerate(counts):
+        partitions = lie._partitions(boxes)
+        assert len(partitions) == len(set(partitions)) == count
+        for parts in partitions:
+            assert sum(parts) == boxes and list(parts) == sorted(parts, reverse=True)
+            assert all(part > 0 for part in parts)
+
+
+def test_tableaux_squares_sum_to_the_factorial():
+    # Sum over partitions lambda of k of (f^lambda)^2 = k!, the dimension
+    # count of the regular representation of the symmetric group S_k.
+    for k in range(13):
+        assert sum(lie._tableaux(parts) ** 2 for parts in lie._partitions(k)) == math.factorial(k)
+    assert [lie._tableaux(parts) for parts in lie._partitions(4)] == [1, 3, 2, 3, 1]
 
 
 def test_each_distinct_label_is_converted_once(monkeypatch):

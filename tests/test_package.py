@@ -1,6 +1,7 @@
 """Package surface: the package exports exactly the pinned public names,
 each module's among them, every private helper is used, every name the
-benchmark's traced run wraps exists, every CLI limit the CI workflow
+benchmark's traced run wraps exists, every other public-looking
+definition is exported, every CLI limit the CI workflow
 reads is an int and its peak-RSS wrapper keeps a command's exit code, the
 CLI imports only what a command runs, the README's library example holds,
 and the test configuration reports a failing property instead of crashing."""
@@ -39,16 +40,13 @@ def test_module_public_names_are_exported(module):
 
 # The public API: a name added to or dropped from it shows in this list.
 PUBLIC_NAMES = [
-    "BlockExtractionError", "CoefficientRow", "DecompositionTable", "ENUMERATION_LIMIT",
-    "EulerTable", "ExactDivisionError", "HigherDerangementTable", "PowerCheck", "PowerSeries",
-    "StableLabel", "VerificationReport", "adjoint_labels", "adjoint_power", "binomial",
-    "coefficient", "coefficient_by_contraction", "coefficient_row", "decomposition_rows",
-    "decomposition_table", "derangement", "derangement_enumeration_oracle",
-    "derangement_numbers", "dynkin_to_stable", "egf_coefficients", "euler_rows", "euler_table",
-    "exact_div", "extract_stable_blocks", "factorial", "higher_derangement",
-    "higher_derangement_rows", "higher_derangement_table", "leading_block_label",
-    "stable_to_dynkin", "tensor_with_adjoint", "trivial_labels", "verify_stable_decomposition",
-    "weyl_dimension",
+    "BlockExtractionError", "CoefficientRow", "ENUMERATION_LIMIT", "ExactDivisionError",
+    "PowerCheck", "PowerSeries", "StableLabel", "VerificationReport", "adjoint_labels",
+    "adjoint_power", "coefficient", "coefficient_by_contraction", "coefficient_row",
+    "decomposition_rows", "derangement", "derangement_enumeration_oracle", "derangement_numbers",
+    "dynkin_to_stable", "egf_coefficients", "euler_rows", "exact_div", "extract_stable_blocks",
+    "higher_derangement", "higher_derangement_rows", "leading_block_label", "stable_to_dynkin",
+    "tensor_with_adjoint", "trivial_labels", "verify_stable_decomposition", "weyl_dimension",
 ]
 
 
@@ -89,19 +87,41 @@ def test_no_module_has_an_assert_statement():
     assert not found, f"assert statements: {found}"
 
 
-def test_benchmark_traced_attributes_resolve():
-    # The traced benchmark run wraps each (module, attribute) of
-    # perfbench/run.py's TRACED with getattr/setattr; a name the package
-    # drops or renames would break that run.  Only the module is loaded:
-    # its main() is not called.
+def traced_attributes():
+    """perfbench/run.py's TRACED, the (module, attribute) pairs its traced
+    run wraps.  Only the module is loaded: its main() is not called."""
     path = ROOT / "perfbench" / "run.py"
     spec = importlib.util.spec_from_file_location("perfbench_run", path)
     harness = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(harness)
-    assert harness.TRACED
-    for module, attr in harness.TRACED:
+    return harness.TRACED
+
+
+def test_benchmark_traced_attributes_resolve():
+    # The traced benchmark run wraps each (module, attribute) of
+    # perfbench/run.py's TRACED with getattr/setattr; a name the package
+    # drops or renames would break that run.
+    traced = traced_attributes()
+    assert traced
+    for module, attr in traced:
         owner = importlib.import_module(f"adjoint_powers.{module}")
         assert callable(getattr(owner, attr, None)), f"{module}.{attr}"
+
+
+def test_every_public_looking_definition_is_exported_or_traced():
+    # A top-level def or class without a leading underscore is in its
+    # module's __all__, or is a name the traced benchmark run wraps and
+    # that stays callable for it alone; any other is an API nobody chose.
+    traced = traced_attributes()
+    stray = []
+    for module in (combinatorics, coefficients, lie):
+        short = module.__name__.rpartition(".")[2]
+        for top in ast.parse(Path(module.__file__).read_text()).body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
+                continue
+            if top.name not in module.__all__ and (short, top.name) not in traced:
+                stray.append(f"{short}.{top.name}")
+    assert not stray, f"public-looking names neither exported nor traced: {stray}"
 
 
 def test_workflow_reads_int_limits_of_the_cli():
@@ -232,7 +252,7 @@ def test_readme_library_example_holds():
         except (ValueError, SyntaxError):
             continue
     assert stated == {
-        "decomposition_table(5).row(5).values": (44, 265, 320, 130, 20, 1),
+        "coefficient_row(5).values": (44, 265, 320, 130, 20, 1),
         "coefficient(10, 5)": 4558428,
     }
     for expression, value in stated.items():

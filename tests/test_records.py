@@ -10,10 +10,7 @@ from adjoint_powers import (
     StableLabel,
     VerificationReport,
     coefficient_row,
-    decomposition_table,
     egf_coefficients,
-    euler_table,
-    higher_derangement_table,
 )
 
 
@@ -32,29 +29,19 @@ def power_check(**overrides):
 
 
 RECORDS = {
-    "EulerTable": euler_table(2),
-    "HigherDerangementTable": higher_derangement_table(2),
     "PowerSeries": egf_coefficients(1, 2),
     "CoefficientRow": coefficient_row(2),
-    "DecompositionTable": decomposition_table(1),
     "StableLabel": StableLabel((2, 1), (3,)),
     "PowerCheck": power_check(residual={StableLabel((1,), (1,)): (0, 2)}),
     "VerificationReport": VerificationReport(k_max=1, rank=3, checks=[power_check()]),
 }
 
 REPRS = {
-    "EulerTable": "EulerTable(max_index=2, entries=((1,), (0, 1), (1, 1, 2)))",
-    "HigherDerangementTable": (
-        "HigherDerangementTable(max_index=2, entries=((1,), (0, 1), (1, 1, 1)))"
-    ),
     "PowerSeries": (
         "PowerSeries(parameter=1, order=2,"
         " coefficients=(Fraction(1, 1), Fraction(1, 1), Fraction(3, 2)))"
     ),
     "CoefficientRow": "CoefficientRow(power=2, values=(1, 2, 1))",
-    "DecompositionTable": (
-        "DecompositionTable(max_power=1, rows=(CoefficientRow(power=1, values=(0, 1)),))"
-    ),
     "StableLabel": "StableLabel(left=(2, 1), right=(3,))",
     "PowerCheck": (
         "PowerCheck(power=1, dimension_expected=15, dimension_observed=15, trivial_expected=0,"
