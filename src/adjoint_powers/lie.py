@@ -2,16 +2,17 @@
 
 Independently certifies the coefficient formulas: the k-th tensor power
 of the adjoint representation of A_n is decomposed exactly (integer
-arithmetic throughout), the rank-stable blocks are extracted from it
-triangularly, and the result is compared block by block against the
-combinatorial coefficients, in the stable range 2k <= n+1.  One pass
-over the powers builds each power's check and block; the two entry
-points only collect it: verify_stable_decomposition reports the checks
-as data, untimed (the CLI times the call), extract_stable_blocks returns
-the blocks and raises on the first power whose check fails.  Two
-arithmetic faults raise from both instead of being reported: a Weyl
-quotient with a remainder (ExactDivisionError) and a label off the root
-lattice (ArithmeticError).
+arithmetic throughout) and compared label by label with the paper's
+formula lifted to labels, in the stable range 2k <= n+1: each pair
+[lambda, mu] of partitions of j occurs C(k, j) d_k^j f^lambda f^mu
+times, f^lambda counted by the hook-length formula.  One pass over the
+powers builds each power's check, and keeps no block; the two entry
+points only collect the checks: verify_stable_decomposition reports
+them as data, untimed (the CLI times the call), extract_stable_blocks
+returns the closed-form blocks of the powers that pass and raises on
+the first that fails.  Two arithmetic faults raise from both instead of
+being reported: a Weyl quotient with a remainder (ExactDivisionError)
+and a label off the root lattice (ArithmeticError).
 
 Dynkin labels are tuples of n nonnegative ints or bytes of length n:
 tensor_with_adjoint, weyl_dimension and dynkin_to_stable take either,
@@ -39,21 +40,17 @@ alone: per row, one falling-factorial ratio against the zero rows and
 one factor per later row; the oracle computes D(N) once per partition
 for its rank and keeps it for the run, and measures its own step's
 labels without validating them again.  A label and its dual (the
-reversed labels) share one measurement: the dual has the same
-dimension and the swapped stable pair, so a label whose dual is
-already measured takes both from it, and either way the label is
-stored once.  At (10, 19) the certification measures 1,861 of the
-3,583 distinct labels and computes D(N) for 139 partitions.  Block
-extraction reads power k's coefficients from one coefficient_row(k),
-and block k is compared label by label with its closed form, f^lambda
-f^mu copies of each pair [lambda, mu] of partitions of k, f^lambda
-counted by the hook-length formula.
+reversed labels) share one stored measurement, read by the dual with
+its sides swapped: at (10, 19), 1,861 serve the 3,583 distinct labels,
+and D(N) and f are computed for 139 partitions, one shared tuple each.
+Power k's coefficients come from one coefficient_row(k); the labels
+the formula expects are counted, and enumerated only on a shortfall.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, compress, repeat
+from itertools import chain, compress, product, repeat
 from math import factorial, perm, prod
 from operator import ge, sub
 
@@ -167,24 +164,19 @@ def _split(labels: Labels, n: int) -> tuple[tuple[int, ...], tuple[int, ...], in
 
 
 def _pair_dimension(
-    left: tuple[int, ...], right: tuple[int, ...], rows: int, factors: dict
+    left: tuple[int, ...], right: tuple[int, ...], rows: int, d_left: int, d_right: int
 ) -> int:
-    """dim [lambda, mu] at N = rows, by the factored form of Weyl's product.
+    """dim [lambda, mu] at N = rows, by the factored form of Weyl's product,
+    given D(N) of each side (:func:`_partition_dimension`).
 
-    D(N) of each side is read from ``factors`` (partition -> D(N), for
-    this N only), or computed by :func:`_partition_dimension` and kept
-    there.  With rows i of lambda and j of mu counted from 0, so that
+    With rows i of lambda and j of mu counted from 0, so that
     d = N - 1 - i - j, the cross factor of the pair is
     (d + l_i + m_j) d / ((d + l_i)(d + m_j)).  The d and the d + l_i
     run over consecutive integers as j does, and the d + m_j as i does,
     so their products are falling factorials; only the d + l_i + m_j
     need the double loop.
     """
-    numerator = 1
-    for side in (left, right):
-        if side not in factors:
-            factors[side] = _partition_dimension(side, rows)
-        numerator *= factors[side]
+    numerator = d_left * d_right
     denominator = 1
     across, down = len(right), len(left)
     shifted = [m - j for j, m in enumerate(right)]
@@ -223,7 +215,9 @@ def weyl_dimension(labels: Labels, n: int) -> int:
     _check_rank(n)
     _check_labels((labels,), n)
     left, right, _ = _split(labels, n)
-    return _pair_dimension(left, right, n + 1, {})
+    return _pair_dimension(
+        left, right, n + 1, _partition_dimension(left, n + 1), _partition_dimension(right, n + 1)
+    )
 
 
 def _pieri(entries, always: int, deltas: list[int], n: int) -> dict[int, int]:
@@ -295,6 +289,7 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
     # Row 0 gains a box, raising a_0; then row n loses one, raising a_{n-1}.
     gained = _pieri(zip(keys, state.values()), field[0], gain, n)
     out = _pieri(gained.items(), field[-1], lose, n)
+    del gained
     for key, (labels, mult) in zip(keys, state.items()):
         left = out.get(key, 0) - mult
         if left < 0:
@@ -427,29 +422,39 @@ def _check_stable_range(k_max: int, n: int) -> None:
 class PowerCheck(
     namedtuple(
         "PowerCheck",
-        "power dimension_expected dimension_observed trivial_expected trivial_observed"
-        " leading_ok negative_entries residual",
+        "power dimension_expected dimension_observed trivial_expected trivial_observed residual",
     )
 ):
     """Verification record for one tensor power; :attr:`passed` is the
     one definition of a valid power, for both oracle entry points.
 
-    An immutable named tuple with every field required.
-    ``negative_entries`` maps a stable label to its negative multiplicity
-    and ``residual`` a stable label to its (expected, observed) pair.
+    An immutable named tuple with every field required.  ``residual``
+    maps a stable label to its (expected, observed) multiplicity in the
+    power, for every label where the two differ; :attr:`leading_ok` and
+    :attr:`negative_entries` are read from it.
     """
 
     __slots__ = ()
 
     @property
+    def leading_ok(self) -> bool:
+        """The leading label [(k), (k)] occurs once, as predicted."""
+        return leading_block_label(self.power) not in self.residual
+
+    @property
+    def negative_entries(self) -> dict:
+        """observed - expected for each label of fewer than k boxes a side
+        held fewer times than predicted: block k's negative entries."""
+        return {
+            label: observed - expected
+            for label, (expected, observed) in self.residual.items()
+            if observed < expected and sum(label.left) < self.power
+        }
+
+    @property
     def passed(self) -> bool:
-        return (
-            self.dimension_expected == self.dimension_observed
-            and self.trivial_expected == self.trivial_observed
-            and self.leading_ok
-            and not self.negative_entries
-            and not self.residual
-        )
+        dimension_ok = self.dimension_expected == self.dimension_observed
+        return dimension_ok and self.trivial_expected == self.trivial_observed and not self.residual
 
 
 class VerificationReport(namedtuple("VerificationReport", ["k_max", "rank", "checks"])):
@@ -465,106 +470,98 @@ class VerificationReport(namedtuple("VerificationReport", ["k_max", "rank", "che
 
 
 def _certified_powers(k_max: int, n: int):
-    """Yield, for k = 0..k_max, the check of power k and block k.
+    """Yield the check of power k, for k = 0..k_max.
 
-    Block k is the stable form of the k-th power left after subtracting
-    every earlier block weighted by its coefficient, so the weighted
-    block sum equals the power by construction; a miscounted coefficient
-    leaves labels without k boxes per side in block k, recorded as a
-    residual (expected 0, observed m).  Each pair of partitions lambda,
-    mu of k is then compared with its count f^lambda f^mu
-    (:func:`_tableaux`), and a mismatch recorded as (expected, observed),
-    so a fault that moves multiplicity between a label and its dual,
-    which keeps every other check, fails too.  The stable range is
-    checked before the first power.
+    Power k is compared with the closed form label by label: [lambda, mu],
+    lambda and mu partitions of j, is expected c_{k,j} f^lambda f^mu
+    times (c from coefficient_row(k), f from :func:`_tableaux`), and
+    each mismatch is a residual (expected, observed), so a miscounted
+    coefficient fails, and so does a fault that moves multiplicity
+    between a label and its dual, which keeps every other check.  The
+    labels with a nonzero expectation are counted against the sum of
+    p(j)^2 over the j with c_{k,j} != 0; only on a shortfall are the
+    expected pairs enumerated, a missing one recorded as (expected, 0).
+    The stable range is checked before the first power.
     """
     _check_stable_range(k_max, n)
     adjoint_dim = (n + 1) ** 2 - 1
-    # The powers are keyed by bytes labels, which the tensor step keeps
-    # as bytes.  A step raises an entry by at most 2, so power k - 1 has
-    # no entry above 2k - 2, within the step's domain of entries up to
-    # 253 for every k <= 127.
+    # Bytes labels, which the step keeps as bytes: power k - 1 has no
+    # entry above 2k - 2, within the step's domain for every k <= 127.
     power = {bytes(n): 1}
-    blocks: list[dict[StableLabel, int]] = []
-    # Stable label and dimension per Dynkin label, each computed once
-    # per dual pair: every label of power k - 1 recurs in power k for
-    # k >= 2, and the dual of labels a, a[::-1], has the same dimension
-    # and the swapped stable pair.  Every power is self-dual, so the
-    # 3,583 distinct labels at (10, 19) cost 1,861 measurements (139 of
-    # them self-dual).  A measurement is one pass over the label's runs,
-    # the split, and the cross factors of the pair; D(N) of each side
-    # comes from ``factors``, computed once per partition for this rank.
-    # The labels are the step's own, so they are not validated again.
-    measured: dict[bytes, tuple[StableLabel, int]] = {}
-    factors: dict[tuple[int, ...], int] = {}
+    # One measurement (left, right, dimension) per dual pair, stored under
+    # the first of its labels seen: every label of power k - 1 recurs in
+    # power k for k >= 2, and the dual a[::-1] of a label a has the same
+    # dimension and the swapped pair, so it reads a's entry with the
+    # sides swapped.  At (10, 19), 1,861 entries serve 3,583 labels.  The
+    # step's own labels are not validated again.
+    measured: dict[bytes, tuple[tuple, tuple, int]] = {}
+    # Per partition, (the partition, D(N) at this rank, f^lambda), made
+    # once and shared by every entry with that side.
+    shapes: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = {}
+    counts = [len(_partitions(j)) for j in range(k_max + 1)]
     for k in range(k_max + 1):
         if k:
             power = tensor_with_adjoint(power, n)
-        stable: dict[StableLabel, int] = {}
-        dimension = 0
+        row = coefficient_row(k).values
+        residual: dict[StableLabel, tuple[int, int]] = {}
+        dimension = present = 0
         for lab, m in power.items():
-            if lab not in measured:
-                dual = measured.get(lab[::-1])
-                if dual is None:
-                    left, right, remainder = _split(lab, n)
-                    if remainder:
-                        raise ArithmeticError(
-                            f"power {k} holds {tuple(lab)}, which is not a weight"
-                            " of an adjoint tensor power"
-                        )
-                    dim = _pair_dimension(left, right, n + 1, factors)
-                else:
-                    (right, left), dim = dual
-                # The runs give partitions, and a zero remainder equal box
-                # counts, so the pair is a valid StableLabel; a dual's pair
-                # was checked when the dual's label was made.
-                measured[lab] = (tuple.__new__(StableLabel, (left, right)), dim)
-            label, dim = measured[lab]
-            stable[label] = m
+            entry = measured.get(lab)
+            if entry is not None:
+                left, right, dim = entry
+            elif (entry := measured.get(lab[::-1])) is not None:
+                right, left, dim = entry
+            else:
+                lam, mu, remainder = _split(lab, n)
+                if remainder:
+                    raise ArithmeticError(
+                        f"power {k} holds {tuple(lab)}, which is not a weight"
+                        " of an adjoint tensor power"
+                    )
+                for side in (lam, mu):
+                    if side not in shapes:
+                        shapes[side] = (side, _partition_dimension(side, n + 1), _tableaux(side))
+                left, right = shapes[lam], shapes[mu]
+                dim = _pair_dimension(lam, mu, n + 1, left[1], right[1])
+                measured[lab] = left, right, dim
             dimension += m * dim
-        trivial = stable.get(StableLabel((), ()), 0)
-        # Block k is the power less c_k^p times each earlier block p < k,
-        # from the row coeffs --k prints, subtracted in place.
-        for c, earlier in zip(coefficient_row(k).values, blocks):
-            for lab, m in earlier.items():
-                stable[lab] = stable.get(lab, 0) - c * m
-        block = {lab: m for lab, m in stable.items() if m}
-        blocks.append(block)
-        residual = {lab: (0, m) for lab, m in block.items() if sum(lab.left) != k}
-        shapes = [(parts, _tableaux(parts)) for parts in _partitions(k)]
-        for left, f in shapes:
-            for right, g in shapes:
-                observed = block.get((left, right), 0)
-                if observed != f * g:
-                    residual[StableLabel(left, right)] = (f * g, observed)
-        check = PowerCheck(
+            # Both sides hold the same number of boxes; from a sound step, at most k.
+            boxes = sum(left[0])
+            expected = row[boxes] * left[2] * right[2] if boxes <= k else 0
+            present += expected != 0
+            if m != expected:
+                residual[StableLabel(left[0], right[0])] = (expected, m)
+        if present < sum(counts[j] ** 2 for j, c in enumerate(row) if c):
+            for j, c in enumerate(row):
+                for lam, mu in product(_partitions(j) if c else (), repeat=2):
+                    label = StableLabel(lam, mu)
+                    if bytes(stable_to_dynkin(label, n)) not in power:
+                        residual[label] = (c * _tableaux(lam) * _tableaux(mu), 0)
+        yield PowerCheck(
             power=k,
             dimension_expected=adjoint_dim**k,
             dimension_observed=dimension,
             trivial_expected=derangement(k),
-            trivial_observed=trivial,
-            leading_ok=block.get(leading_block_label(k), 0) == 1,
-            negative_entries={lab: m for lab, m in block.items() if m < 0},
+            trivial_observed=power.get(bytes(n), 0),
             residual=residual,
         )
-        yield check, block
 
 
 def extract_stable_blocks(k_max: int, n: int) -> list[dict[StableLabel, int]]:
-    """Blocks 0..k_max as stable-label multisets, extracted triangularly.
-
-    Block k is the k-th power minus all earlier blocks weighted by their
-    coefficients.  A power that fails any of the five properties
-    certified by :func:`verify_stable_decomposition` falsifies the
-    decomposition at this rank and raises :class:`BlockExtractionError`.
+    """Blocks 0..k_max as stable-label multisets: block k, f^lambda f^mu
+    copies of each pair [lambda, mu] of partitions of k, once power k
+    passes the checks of :func:`verify_stable_decomposition`.  A power
+    that fails falsifies the decomposition at this rank and raises
+    :class:`BlockExtractionError`.
     """
     blocks: list[dict[StableLabel, int]] = []
-    for check, block in _certified_powers(k_max, n):
+    for check in _certified_powers(k_max, n):
         if not check.passed:
             raise BlockExtractionError(
                 f"power {check.power} at rank {n} falsifies the decomposition: {check}"
             )
-        blocks.append(block)
+        shapes = [(parts, _tableaux(parts)) for parts in _partitions(check.power)]
+        blocks.append({StableLabel(lam, mu): f * g for lam, f in shapes for mu, g in shapes})
     return blocks
 
 
@@ -572,17 +569,17 @@ def verify_stable_decomposition(k_max: int, n: int) -> VerificationReport:
     """Certify the decomposition for every power up to k_max at rank n.
 
     Per power: (a) total dimension balances against ((n+1)^2 - 1)^k,
-    (b) the trivial rep appears exactly d_k times, (c) block k holds its
-    leading label with multiplicity 1, (d) block k has no negative
-    multiplicity, (e) block k is exactly the sum over pairs lambda, mu
-    of partitions of k of f^lambda f^mu [lambda, mu], f the number of
-    standard Young tableaux: every label has k boxes per side, and each
-    pair has that multiplicity.  A failed check is data in the report,
-    not an exception; a power passes when :attr:`PowerCheck.passed`
-    holds.  Two faults raise instead, since no report could hold them: a
-    Weyl quotient that is not exact raises :class:`ExactDivisionError`,
-    and a label off the root lattice, with no stable pair to report it
-    under, raises ArithmeticError.
+    (b) the trivial rep appears exactly d_k times, read from derangement,
+    (c) each label [lambda, mu], lambda and mu partitions of j, occurs
+    c_{k,j} f^lambda f^mu times, f the number of standard Young tableaux,
+    and no other label occurs; each mismatch is a residual, and the
+    leading label and the negative block entries are read from it.  A
+    failed check is data in the report, not an exception; a power
+    passes when :attr:`PowerCheck.passed` holds.  Two faults raise
+    instead, since no report could hold them: a Weyl quotient that is
+    not exact raises :class:`ExactDivisionError`, and a label off the
+    root lattice, with no stable pair to report it under, raises
+    ArithmeticError.
     """
-    checks = [check for check, _block in _certified_powers(k_max, n)]
+    checks = list(_certified_powers(k_max, n))
     return VerificationReport(k_max=k_max, rank=n, checks=checks)

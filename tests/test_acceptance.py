@@ -183,7 +183,7 @@ def test_criterion_7_high_power_substitute():
 
 
 def _certify_every_power(k_max, n):
-    """Criterion body: every power up to k_max passes all five checks at rank n."""
+    """Criterion body: every power up to k_max passes every check at rank n."""
 
     def body():
         report = verify_stable_decomposition(k_max, n)

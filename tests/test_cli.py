@@ -458,8 +458,6 @@ def test_verify_oracle_failure_maps_to_exit_one(capsys, monkeypatch):
                 dimension_observed=14,
                 trivial_expected=0,
                 trivial_observed=0,
-                leading_ok=True,
-                negative_entries={},
                 residual={},
             )
         ],
@@ -495,7 +493,7 @@ def test_oracle_arithmetic_fault_exits_one_without_a_report(name, plant, capsys,
 
 
 def test_planted_dual_swap_fails_the_oracle_command(capsys, monkeypatch):
-    # A dual swap at power 5 keeps every check but block 5's closed form.
+    # A dual swap at power 5 keeps every check but the label-by-label comparison.
     plant_dual_swap(monkeypatch)
     code, out, _ = invoke(["verify", "oracle", "--kmax", "5", "--n", "9"], capsys)
     assert code == 1
@@ -533,21 +531,23 @@ def test_verify_report_payload():
 
 
 def test_report_payload_names_failed_labels_as_partition_pairs():
-    label = StableLabel((2, 1), (3,))
+    # The leading label missing, and a 2-box label held once against 3.
+    leading, label = StableLabel((3,), (3,)), StableLabel((1, 1), (2,))
     check = PowerCheck(
         power=3,
         dimension_expected=63**3,
         dimension_observed=63**3,
         trivial_expected=2,
         trivial_observed=2,
-        leading_ok=False,
-        negative_entries={label: -1},
-        residual={label: (0, 4)},
+        residual={leading: (1, 0), label: (3, 1)},
     )
     (payload,) = cli._report_payload(VerificationReport(3, 7, [check]))["checks"]
     assert payload["leading_ok"] is False
-    assert payload["negative_entries"] == [{"label": [[2, 1], [3]], "multiplicity": "-1"}]
-    assert payload["residual"] == [{"label": [[2, 1], [3]], "expected": "0", "observed": "4"}]
+    assert payload["negative_entries"] == [{"label": [[1, 1], [2]], "multiplicity": "-2"}]
+    assert payload["residual"] == [
+        {"label": [[1, 1], [2]], "expected": "3", "observed": "1"},
+        {"label": [[3], [3]], "expected": "1", "observed": "0"},
+    ]
 
 
 JSON_COMMANDS = [

@@ -17,9 +17,10 @@ of partitions.
 
 import math
 import re
-from collections import namedtuple
+import tracemalloc
+from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from conftest import SWAPPED, partitions_of, plant_dual_swap
@@ -30,6 +31,7 @@ from adjoint_powers import (
     StableLabel,
     adjoint_labels,
     adjoint_power,
+    coefficient_row,
     derangement,
     dynkin_to_stable,
     extract_stable_blocks,
@@ -289,7 +291,8 @@ def test_factored_dimension_matches_plain_product(left, right, spare):
     # sits at the split between the two sides.
     rows = max(2, len(left) + len(right) + spare)
     labels = stable_to_dynkin(PartitionPair(left, right), rows - 1)
-    assert lie._pair_dimension(left, right, rows, {}) == plain_weyl_dimension(labels, rows - 1)
+    sides = (lie._partition_dimension(left, rows), lie._partition_dimension(right, rows))
+    assert lie._pair_dimension(left, right, rows, *sides) == plain_weyl_dimension(labels, rows - 1)
 
 
 # Up to 30 parts as up to 30 runs of equal parts, each part up to 10**6.
@@ -696,6 +699,54 @@ def test_dynkin_round_trip_on_random_powers(case):
 # --- block extraction and certification -------------------------------------
 
 
+def triangular_blocks(k_max, n):
+    """Blocks 0..k_max by subtraction: block k is power k, in stable
+    labels, less c(k, p) copies of each earlier block p."""
+    blocks = []
+    power = {trivial_labels(n): 1}
+    for k in range(k_max + 1):
+        if k:
+            power = tensor_with_adjoint(power, n)
+        block = Counter()
+        for labels, m in power.items():
+            block[dynkin_to_stable(labels, n)] += m
+        for c, earlier in zip(coefficient_row(k).values, blocks):
+            for label, m in earlier.items():
+                block[label] -= c * m
+        blocks.append({label: m for label, m in block.items() if m})
+    return blocks
+
+
+def standard_tableaux(parts):
+    """f^lambda by removing the box of n from each corner in turn."""
+    if not parts:
+        return 1
+    corners = [i for i, part in enumerate(parts) if i + 1 == len(parts) or parts[i + 1] < part]
+    return sum(
+        standard_tableaux(tuple(p for p in parts[:i] + (parts[i] - 1,) + parts[i + 1 :] if p))
+        for i in corners
+    )
+
+
+def closed_form_block(k):
+    """f^lambda f^mu copies of each pair [lambda, mu] of partitions of k."""
+    shapes = lie._partitions(k)
+    return {
+        StableLabel(lam, mu): standard_tableaux(lam) * standard_tableaux(mu)
+        for lam, mu in product(shapes, repeat=2)
+    }
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_extracted_blocks_are_the_triangular_and_closed_forms(k):
+    # The blocks the oracle returns for its certified powers are those a
+    # subtraction of the earlier blocks leaves, at both ranks either side
+    # of the stable bound, and each is its closed form.
+    for n in (max(1, 2 * k - 1), 2 * k + 1):
+        blocks = extract_stable_blocks(k, n)
+        assert blocks == triangular_blocks(k, n) == [closed_form_block(j) for j in range(k + 1)]
+
+
 def test_extract_blocks_boundary_rank():
     blocks = extract_stable_blocks(2, 3)
     assert blocks[0] == {StableLabel((), ()): 1}
@@ -752,10 +803,12 @@ def test_verify_range_gate():
 
 @pytest.mark.parametrize("error", [-1, 1])
 def test_miscounted_coefficient_is_caught(error, monkeypatch):
-    # Block 4 is the remainder after subtracting c(4, p) copies of each
-    # earlier block, so a wrong c(4, 2) leaves block-2 labels (two boxes
-    # per side) in it, with positive or negative multiplicity.
+    # Power 4 holds each label [lambda, mu] with two boxes a side
+    # c(4, 2) f^lambda f^mu times, so a wrong c(4, 2) names every such
+    # label, expected (c +- 1) f f against observed c f f.  Held fewer
+    # times than predicted, they are block 4's negative entries too.
     true_row = lie.coefficient_row
+    c = true_row(4).values[2]
 
     def miscounted_row(k):
         row = true_row(k)
@@ -767,19 +820,55 @@ def test_miscounted_coefficient_is_caught(error, monkeypatch):
     report = verify_stable_decomposition(4, 7)
     assert not report.passed
     assert all(check.passed for check in report.checks[:4])
-    residual = report.checks[4].residual
-    assert residual
-    for label, (expected, observed) in residual.items():
-        assert sum(label.left) == 2
-        assert expected == 0 and observed != 0
-    with pytest.raises(BlockExtractionError):
+    check = report.checks[4]
+    assert check.residual == {
+        label: ((c + error) * f, c * f) for label, f in closed_form_block(2).items()
+    }
+    assert check.leading_ok
+    assert check.negative_entries == (
+        {label: -f for label, f in closed_form_block(2).items()} if error > 0 else {}
+    )
+    with pytest.raises(BlockExtractionError, match="power 4 at rank 7"):
         extract_stable_blocks(4, 7)
 
 
+def test_planted_dropped_label_is_named_by_the_count(monkeypatch):
+    # [(3, 1), (2, 2)] first occurs in power 4, 1 * 3 * 2 times.  A step
+    # that drops it leaves the power one label short of the closed form,
+    # and the missing label, which no pass over the power can see, is
+    # named by the enumeration that the shortfall starts.
+    label = StableLabel((3, 1), (2, 2))
+    dropped = bytes(stable_to_dynkin(label, 7))
+    step = lie.tensor_with_adjoint
+
+    def planted(state, n):
+        out = step(state, n)
+        out.pop(dropped, None)
+        return out
+
+    monkeypatch.setattr(lie, "tensor_with_adjoint", planted)
+    report = verify_stable_decomposition(4, 7)
+    assert [check.passed for check in report.checks] == [True] * 4 + [False]
+    check = report.checks[4]
+    assert check.residual == {label: (6, 0)}
+    assert check.dimension_observed == check.dimension_expected - 6 * weyl_dimension(
+        stable_to_dynkin(label, 7), 7
+    )
+    with pytest.raises(BlockExtractionError, match="power 4 at rank 7"):
+        extract_stable_blocks(4, 7)
+
+
+def test_passing_powers_enumerate_no_expected_pair(monkeypatch):
+    # The expected pairs are enumerated only when the count falls short,
+    # and each one enumerated is converted to its Dynkin labels.
+    monkeypatch.setattr(lie, "stable_to_dynkin", lambda *args: pytest.fail("enumerated"))
+    assert verify_stable_decomposition(8, 15).passed
+
+
 def test_planted_dual_swap_fails_its_power(monkeypatch):
-    # Every check but the block's closed form passes with the swap, so the
-    # block check alone fails power 5, naming both labels against their
-    # f^lambda f^mu = 1 * 4.
+    # Every check but the label-by-label comparison passes with the swap,
+    # so the comparison alone fails power 5, naming both labels against
+    # their c(5, 5) f^lambda f^mu = 1 * 1 * 4.
     plant_dual_swap(monkeypatch)
     report = verify_stable_decomposition(5, 9)
     assert [check.passed for check in report.checks] == [True] * 5 + [False]
@@ -836,6 +925,35 @@ def test_each_distinct_label_is_converted_once(monkeypatch):
     partitions = {side for labels in power for side in dynkin_to_stable(labels, 19)}
     assert sorted(sides) == sorted(partitions)
     assert len(sides) == 139
+
+
+def test_measurement_cache_holds_one_entry_per_dual_pair():
+    # A label whose dual is cached reads that entry with its sides swapped
+    # and stores nothing, so the cache ends with one entry per dual pair,
+    # (3,583 + 139) / 2 = 1,861 at (10, 19), and no label beside its dual.
+    # The entries share one tuple per partition: 139 in all.
+    powers = lie._certified_powers(10, 19)
+    for check in powers:
+        assert check.passed
+        if check.power == 10:
+            measured = powers.gi_frame.f_locals["measured"]
+    assert len(measured) == 1861
+    assert all(labels[::-1] not in measured for labels in measured if labels != labels[::-1])
+    assert len({id(side) for entry in measured.values() for side in entry[:2]}) == 139
+
+
+def test_headline_certification_stays_under_its_traced_peak():
+    # No block is held, and the cache holds one entry per dual pair: the
+    # traced peak of the (10, 19) certification was 1.94-1.97 MiB on
+    # CPython 3.10-3.12 while every extracted block was kept, and both
+    # labels of each pair cached, and is 1.3-1.4 MiB without.
+    tracemalloc.start()
+    try:
+        assert verify_stable_decomposition(10, 19).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 2**20
 
 
 def test_block_extraction_reads_one_coefficient_row_per_power(monkeypatch):
