@@ -285,10 +285,6 @@ def _report_lines(report: lie.VerificationReport):
                 f"  trivial multiplicity mismatch: expected {check.trivial_expected},"
                 f" observed {check.trivial_observed}"
             )
-        if not check.leading_ok:
-            yield "  leading label missing or off unit multiplicity"
-        for label, mult in sorted(check.negative_entries.items()):
-            yield f"  negative block entry {_label_text(label)}: {mult}"
         for label, (expected, observed) in sorted(check.residual.items()):
             yield f"  residual {_label_text(label)}: expected {expected}, observed {observed}"
     yield f"result: {'PASS' if report.passed else 'FAIL'}"
@@ -299,7 +295,11 @@ def _label_text(label: lie.StableLabel) -> str:
 
 
 def _report_payload(report: lie.VerificationReport) -> dict:
-    """The oracle report's JSON: integers as decimal strings, labels as partition pairs."""
+    """The oracle report's JSON: integers as decimal strings, labels as
+    partition pairs.  ``leading_ok`` and ``negative_entries`` are read from
+    the residual: the leading label [(k), (k)] is not in it, and each
+    label of fewer than k boxes a side held fewer times than predicted
+    is a negative entry, observed - expected."""
     return {
         "k_max": report.k_max,
         "rank": report.rank,
@@ -311,10 +311,11 @@ def _report_payload(report: lie.VerificationReport) -> dict:
                 "dimension_observed": str(check.dimension_observed),
                 "trivial_expected": str(check.trivial_expected),
                 "trivial_observed": str(check.trivial_observed),
-                "leading_ok": check.leading_ok,
+                "leading_ok": lie.leading_block_label(check.power) not in check.residual,
                 "negative_entries": [
-                    {"label": list(map(list, label)), "multiplicity": str(mult)}
-                    for label, mult in sorted(check.negative_entries.items())
+                    {"label": list(map(list, label)), "multiplicity": str(obs - exp)}
+                    for label, (exp, obs) in sorted(check.residual.items())
+                    if obs < exp and sum(label.left) < check.power
                 ],
                 "residual": [
                     {"label": list(map(list, label)), "expected": str(exp), "observed": str(obs)}
@@ -340,9 +341,19 @@ def run(argv: list[str] | None = None) -> int:
     # The tables print through Decimal, but coeffs --k and series print ints
     # through str, past CPython's default limit of 4,300 digits: coeffs --k 1600
     # holds a 4,466-digit entry, series --k 0 --order 1800 a 5,075-digit
-    # denominator.  Interpreters before 3.10.7 have no limit.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # denominator.  The caller's limit is restored on return, however the
+    # command ends.  Interpreters before 3.10.7 have no limit.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

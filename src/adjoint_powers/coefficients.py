@@ -3,30 +3,22 @@
 In the stable range the k-th tensor power of the A-series adjoint
 representation splits into rank-independent blocks, one block per number
 of uncontracted index pairs.  The integer coefficient of block j in
-power k is computed by three routes:
-
-* the closed form C(k, j) * d_k^j: :func:`coefficient_row` for one row,
-  and :func:`coefficient` for one entry of it,
-* :func:`coefficient_by_contraction`: counting contraction patterns
-  directly, C(k, p) * (1/p!) * sum_l C(p, l) d_{k-l}, which is C(k, p)
-  times the sum formula of d_k^p, so it reads the one body of that sum,
-  :func:`combinatorics._closed_form`,
-* :func:`decomposition_rows`: the two-term recurrence
-  c_{j+1}^k = ((k-j) c_j^k + k c_j^{k-1}) / (j+1)^2 seeded by c_0^k = d_k,
-  one row at a time.
-
-All three must agree entry for entry; every division is exact and
-checked.  Each route has one public function, and none takes a
-route-selecting argument.  The closed form has one body,
-:func:`_coefficient_row`, which builds one row alone in O(k) steps.
+power k has one production path, the closed form C(k, j) * d_k^j:
+:func:`coefficient_row` for one row, and :func:`coefficient` for one
+entry of it.  Its one body, :func:`_coefficient_row`, builds one row
+alone in O(k) steps; every division is exact and checked.
 
 What the CLI prints: ``coeffs --k`` prints :func:`coefficient_row`, the
 body's row on ``int``, which :func:`coefficient` reads; ``coeffs --upto``
 prints its rows 1..K on ``decimal.Decimal`` in the CLI's exact context.
-``verify combinatorics`` compares its row for each power from 0 with the
-recurrence's, seed row (1,) first, and with the difference table over j!,
-weighted by ``math.comb``; that suite, every cross-check of the routes of
-this module and of :mod:`combinatorics`, runs here, in :func:`_route_checks`.
+The other route is private and kept as a cross-check: the two-term
+recurrence c_{j+1}^k = ((k-j) c_j^k + k c_j^{k-1}) / (j+1)^2 seeded by
+c_0^k = d_k, :func:`_decomposition_rows`, one row at a time.  ``verify
+combinatorics`` compares the body's row for each power from 0 with the
+recurrence's, seed row (1,) first, and with the difference table over
+j!, weighted by ``math.comb``; that suite, every cross-check of the
+routes of this module and of :mod:`combinatorics`, runs here, in
+:func:`_route_checks`.
 """
 
 from __future__ import annotations
@@ -43,13 +35,7 @@ from .combinatorics import ExactDivisionError, _binomial_row, derangement_number
 # Unused here, but kept bound: perfbench/run.py traces coefficients.canonical_json.
 from .serialize import canonical_json
 
-__all__ = [
-    "CoefficientRow",
-    "coefficient",
-    "coefficient_by_contraction",
-    "coefficient_row",
-    "decomposition_rows",
-]
+__all__ = ["CoefficientRow", "coefficient", "coefficient_row"]
 
 
 class CoefficientRow(namedtuple("CoefficientRow", ["power", "values"])):
@@ -66,6 +52,8 @@ def coefficient(k: int, j: int) -> int:
     return coefficient_row(k).values[j]
 
 
+# Unexported, and kept callable only because perfbench/run.py's TRACED
+# wraps it; ROADMAP item 4 deletes it with its TRACED entry.
 def coefficient_by_contraction(k: int, p: int) -> int:
     """Block coefficient by counting contraction patterns directly.
 
@@ -124,23 +112,13 @@ def _coefficient_row(k: int, one) -> list:
     return row
 
 
-def decomposition_rows(max_power: int) -> Iterator[CoefficientRow]:
-    """Coefficient rows 1..max_power from the two-term recurrence, one at a time.
-
-    Each row starts at c_0^k = d_k, read from one pass of
+def _decomposition_rows(max_power: int) -> Iterator[CoefficientRow]:
+    """Coefficient rows 0..max_power from the two-term recurrence, one at a
+    time: row k starts at c_0^k = d_k, read from one pass of
     :func:`derangement_numbers`, and steps right through
     c_{j+1}^k = ((k-j) c_j^k + k c_j^{k-1}) / (j+1)^2, the division
-    checked exact.  The power-0 row (1,) seeds the recursion, and only
-    the row before is held; the stream behind it, which ``verify
-    combinatorics`` reads from power 0, yields the seed first.  The
-    argument is checked at the call, before the first row is asked for.
-    """
-    if max_power < 1:
-        raise ValueError("max_power must be >= 1")
-    return islice(_decomposition_rows(max_power), 1, None)
-
-
-def _decomposition_rows(max_power: int) -> Iterator[CoefficientRow]:
+    checked exact.  The power-0 row (1,) seeds the recursion and comes
+    first; only the row before is held."""
     previous: tuple[int, ...] = (1,)
     yield CoefficientRow(0, previous)
     seeds = islice(derangement_numbers(), 1, max_power + 1)
@@ -156,7 +134,9 @@ def _decomposition_rows(max_power: int) -> Iterator[CoefficientRow]:
 # because perfbench/run.py's TRACED wraps it; ROADMAP item 4 drops it
 # with its TRACED entry.
 def decomposition_table(max_power: int) -> tuple[CoefficientRow, ...]:
-    return tuple(decomposition_rows(max_power))
+    if max_power < 1:
+        raise ValueError("max_power must be >= 1")
+    return tuple(islice(_decomposition_rows(max_power), 1, None))
 
 
 def _route_checks(limit: int) -> list[tuple[str, bool, str]]:

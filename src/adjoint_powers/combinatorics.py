@@ -222,8 +222,8 @@ def _recurrence_columns(max_index: int) -> Iterator[list[int]]:
 def _closed_form(n: int, binomials: list[int], derangements: list[int]) -> int:
     """Reference route ``closed_form``, one entry: d_n^k = (1/k!) sum_j
     C(k, j) d_{n-j}, where ``binomials`` is the row C(k, 0..k) and
-    ``derangements`` holds d_0..d_n (or more).  The contraction count
-    :func:`coefficients.coefficient_by_contraction` is C(n, k) times it."""
+    ``derangements`` holds d_0..d_n (or more).  C(n, k) times it counts
+    the contraction patterns of block k in power n, its coefficient."""
     k = len(binomials) - 1
     total = sum(map(mul, binomials, reversed(derangements[n - k : n + 1])))
     return exact_div(total, math.factorial(k))

@@ -428,28 +428,13 @@ class PowerCheck(
     """Verification record for one tensor power; :attr:`passed` is the
     one definition of a valid power, for both oracle entry points.
 
-    An immutable named tuple with every field required.  ``residual``
-    maps a stable label to its (expected, observed) multiplicity in the
-    power, for every label where the two differ; :attr:`leading_ok` and
-    :attr:`negative_entries` are read from it.
+    An immutable named tuple with every field required: what the oracle
+    checks, the dimension, the trivial count and ``residual``, which maps
+    a stable label to its (expected, observed) multiplicity in the power,
+    for every label where the two differ.
     """
 
     __slots__ = ()
-
-    @property
-    def leading_ok(self) -> bool:
-        """The leading label [(k), (k)] occurs once, as predicted."""
-        return leading_block_label(self.power) not in self.residual
-
-    @property
-    def negative_entries(self) -> dict:
-        """observed - expected for each label of fewer than k boxes a side
-        held fewer times than predicted: block k's negative entries."""
-        return {
-            label: observed - expected
-            for label, (expected, observed) in self.residual.items()
-            if observed < expected and sum(label.left) < self.power
-        }
 
     @property
     def passed(self) -> bool:
@@ -572,14 +557,12 @@ def verify_stable_decomposition(k_max: int, n: int) -> VerificationReport:
     (b) the trivial rep appears exactly d_k times, read from derangement,
     (c) each label [lambda, mu], lambda and mu partitions of j, occurs
     c_{k,j} f^lambda f^mu times, f the number of standard Young tableaux,
-    and no other label occurs; each mismatch is a residual, and the
-    leading label and the negative block entries are read from it.  A
-    failed check is data in the report, not an exception; a power
-    passes when :attr:`PowerCheck.passed` holds.  Two faults raise
-    instead, since no report could hold them: a Weyl quotient that is
-    not exact raises :class:`ExactDivisionError`, and a label off the
-    root lattice, with no stable pair to report it under, raises
-    ArithmeticError.
+    and no other label occurs; each mismatch is a residual.  A failed
+    check is data in the report, not an exception; a power passes when
+    :attr:`PowerCheck.passed` holds.  Two faults raise instead, since no
+    report could hold them: a Weyl quotient that is not exact raises
+    :class:`ExactDivisionError`, and a label off the root lattice, with
+    no stable pair to report it under, raises ArithmeticError.
     """
     checks = list(_certified_powers(k_max, n))
     return VerificationReport(k_max=k_max, rank=n, checks=checks)

@@ -5,14 +5,20 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from decimal import Decimal, Inexact
 from itertools import count, islice
 from pathlib import Path
 
 import pytest
-from conftest import plant_dual_swap
+from conftest import (
+    plant_dropped_label,
+    plant_dual_swap,
+    plant_miscounted_coefficient,
+)
 from hypothesis import given, settings, strategies as st
 
 from adjoint_powers import (
@@ -20,14 +26,13 @@ from adjoint_powers import (
     StableLabel,
     VerificationReport,
     coefficient,
-    decomposition_rows,
     derangement,
     derangement_numbers,
     euler_rows,
     higher_derangement_rows,
     verify_stable_decomposition,
 )
-from adjoint_powers import cli, combinatorics
+from adjoint_powers import cli, coefficients, combinatorics
 from adjoint_powers.cli import run
 from adjoint_powers.serialize import canonical_json
 
@@ -46,12 +51,13 @@ def test_table_derangement_eleven_values(capsys):
     assert lines[0] == "0,1"
     assert lines[6] == "6,265"
     assert lines[10] == "10,1334961"
-    # d_2000 has 5,736 digits, beyond CPython's default int-to-str limit.
+    # d_2000 has 5,736 digits, beyond CPython's default int-to-str limit,
+    # which ``run`` restores on return: the reference prints through Decimal.
     code, out, _ = invoke(["table", "derangement", "--max", "2000", "--format", "csv"], capsys)
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 2001
-    assert lines[-1] == f"2000,{derangement(2000)}"
+    assert lines[-1] == f"2000,{Decimal(derangement(2000))}"
 
 
 def test_table_euler_csv(capsys):
@@ -85,14 +91,14 @@ def test_decimal_rows_print_as_the_int_rows(size):
         )
 
 
-# ``coeffs --upto`` prints the closed-form body's Decimal rows from power 1:
-# every digit must be the recurrence's.
+# ``coeffs --upto`` prints the closed-form body's Decimal rows: every digit
+# must be the private recurrence's.
 @settings(max_examples=25, deadline=None)
 @given(size=st.integers(1, 60))
 def test_decimal_closed_form_rows_print_as_the_recurrence_rows(size):
     with cli._exact_decimals() as one:
-        closed_form = printed(cli.coefficients._coefficient_row(k, one) for k in range(1, size + 1))
-    assert closed_form == printed(row.values for row in decomposition_rows(size))
+        closed_form = printed(coefficients._coefficient_row(k, one) for k in range(size + 1))
+    assert closed_form == printed(row.values for row in coefficients._decomposition_rows(size))
 
 
 def test_exact_context_traps_every_rounding():
@@ -516,6 +522,75 @@ def test_planted_dual_swap_fails_the_oracle_command(capsys, monkeypatch):
     ]
 
 
+# Five planted faults at (kmax, n), four kinds, with the sha256 of the JSON
+# report each printed while the text report still named a label twice.
+PLANTED_REPORTS = [
+    pytest.param(
+        4, 7, lambda mp: plant_miscounted_coefficient(mp, -1),
+        "3911d9cd0942cb472fa5f3044c420bdc674632147b0cc637f6fd86aefa60ad10",
+        id="c(4,2)-1",
+    ),
+    pytest.param(
+        4, 7, lambda mp: plant_miscounted_coefficient(mp, 1),
+        "0500db8ef0181efd7ac206919f5b521a236027d09d68151a46c7ce2755c06546",
+        id="c(4,2)+1",
+    ),
+    pytest.param(
+        5, 9, plant_dual_swap,
+        "d795ef73480517f430381e68d0d638495c95b30659edd91869665517ff9db79b",
+        id="dual swap",
+    ),
+    pytest.param(
+        4, 7, lambda mp: plant_dropped_label(mp, StableLabel((3, 1), (2, 2)), 7),
+        "19bd0cbec0069e236f881e58de60a3c2d4db008506d8f1ddd78191be55df31bc",
+        id="dropped label",
+    ),
+    pytest.param(
+        4, 7, lambda mp: plant_dropped_label(mp, StableLabel((4,), (4,)), 7),
+        "c2d59ba680035e75ee1484e3016eec2b465b0da6037d495ab8db69fe44507a22",
+        id="missing leading label",
+    ),
+]
+
+
+@pytest.mark.parametrize("kmax,n,plant,digest", PLANTED_REPORTS)
+def test_failing_report_names_each_mismatched_label_once(
+    kmax, n, plant, digest, capsys, monkeypatch
+):
+    plant(monkeypatch)
+    checks = verify_stable_decomposition(kmax, n).checks
+    (failing,) = [check for check in checks if not check.passed]
+    argv = ["verify", "oracle", "--kmax", str(kmax), "--n", str(n)]
+    code, out, _ = invoke(argv, capsys)
+    assert code == 1
+    # Every label the text names, as ([...],[...]), is a residual label, named once.
+    named = Counter(re.findall(r"\(\[[^()]*\]\)", out))
+    assert named == Counter(map(cli._label_text, failing.residual))
+    code, out, _ = invoke([*argv, "--format", "json"], capsys)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_report_payload_reads_leading_and_negative_entries_from_the_residual():
+    # The record stores neither, so neither can disagree with the residual:
+    # the leading label [(k), (k)] must not be in it, and a label of fewer
+    # than k boxes a side held fewer times than predicted is a negative
+    # entry, observed - expected, of block k.
+    leading, short = StableLabel((2,), (2,)), StableLabel((1,), (1,))
+    full = StableLabel((1, 1), (2,))
+
+    def read(residual):
+        check = PowerCheck(2, 15**2, 15**2, 1, 1, residual)
+        (payload,) = cli._report_payload(VerificationReport(2, 3, [check]))["checks"]
+        assert not hasattr(check, "leading_ok") and not hasattr(check, "negative_entries")
+        return payload["leading_ok"], payload["negative_entries"]
+
+    assert read({short: (4, 1), full: (1, 0)}) == (
+        True, [{"label": [[1], [1]], "multiplicity": "-3"}]
+    )
+    assert read({leading: (1, 0), short: (4, 6)}) == (False, [])
+
+
 def test_verify_report_payload():
     # The oracle report's JSON form is built in the CLI, as every record's is.
     report = verify_stable_decomposition(2, 4)
@@ -602,7 +677,7 @@ def test_streamed_json_matches_json_dumps_at_scale(capsys):
         "max_power": 120,
         "rows": [
             {"k": row.power, "coefficients": [str(v) for v in row.values]}
-            for row in decomposition_rows(120)
+            for row in islice(coefficients._decomposition_rows(120), 1, None)
         ],
     }
     code, out, _ = invoke(["coeffs", "--upto", "120", "--format", "json"], capsys)
@@ -874,8 +949,8 @@ INT_STR_DIGESTS = [
 
 @pytest.mark.parametrize("command,digest", INT_STR_DIGESTS, ids=[c for c, _ in INT_STR_DIGESTS])
 def test_ints_past_the_str_digit_default_print_in_a_fresh_interpreter(command, digest):
-    # The lift is process-wide, so an earlier run in this process would hide
-    # its loss: the command runs alone, without the environment's own lift.
+    # The command runs alone, at the interpreter's default limit, without
+    # the environment's own lift.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     env.pop("PYTHONINTMAXSTRDIGITS", None)
     result = subprocess.run(
@@ -887,6 +962,32 @@ def test_ints_past_the_str_digit_default_print_in_a_fresh_interpreter(command, d
     assert result.returncode == 0, result.stderr
     assert max(map(len, result.stdout.split(b" | "))) > 4300
     assert hashlib.sha256(result.stdout).hexdigest() == digest
+
+
+def test_run_restores_the_callers_int_str_limit(capsys, monkeypatch):
+    # ``coeffs --k 1600`` prints a 4,466-digit entry through str, so the lift
+    # holds while the command prints; the caller's limit, set here since an
+    # earlier run may have left another, reads the same after every way out
+    # of ``run``: a command, a refused request, and an exception.
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, _ = invoke(["coeffs", "--k", "1600", "--format", "csv"], capsys)
+        assert code == 0
+        assert max(map(len, out.strip().split(","))) == 4466
+        assert sys.get_int_max_str_digits() == 4300
+        assert invoke(["coeffs", "--k", "-1"], capsys)[0] == 2
+        assert sys.get_int_max_str_digits() == 4300
+
+        def fault(args):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(cli, "_cmd_coeffs", fault)
+        with pytest.raises(RuntimeError, match="planted"):
+            run(["coeffs", "--k", "1"])
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_readme_commands_have_golden_digests():

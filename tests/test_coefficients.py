@@ -1,23 +1,26 @@
 """Coefficient rows: golden values, route agreement, rendering."""
 
 from collections import deque
+from itertools import islice
 import math
 
 import pytest
+from conftest import contraction_count
 from hypothesis import given, settings, strategies as st
 
 from adjoint_powers import (
     CoefficientRow,
     coefficient,
-    coefficient_by_contraction,
     coefficient_row,
-    decomposition_rows,
     derangement,
     derangement_numbers,
     higher_derangement_rows,
 )
 from adjoint_powers import coefficients
 from adjoint_powers.cli import run
+
+# The recurrence route, private: rows 0..max_power, seed row (1,) first.
+recurrence_rows = coefficients._decomposition_rows
 
 # Reference decomposition rows for powers 1..10 (65 coefficients).
 GOLDEN_ROWS = {
@@ -45,11 +48,11 @@ def test_golden_rows_by_closed_form():
 
 def test_golden_rows_by_contraction():
     for k, values in GOLDEN_ROWS.items():
-        assert tuple(coefficient_by_contraction(k, j) for j in range(k + 1)) == values
+        assert tuple(contraction_count(k, j) for j in range(k + 1)) == values
 
 
 def test_golden_rows_by_recurrence():
-    assert {row.power: row.values for row in decomposition_rows(10)} == GOLDEN_ROWS
+    assert {row.power: row.values for row in recurrence_rows(10)} == {0: (1,), **GOLDEN_ROWS}
 
 
 def test_coefficient_examples():
@@ -60,27 +63,28 @@ def test_coefficient_examples():
 
 
 def test_contraction_examples():
-    assert coefficient_by_contraction(5, 3) == 130
-    assert coefficient_by_contraction(2, 1) == 2
-    assert coefficient_by_contraction(3, 3) == 1
+    assert contraction_count(5, 3) == 130
+    assert contraction_count(2, 1) == 2
+    assert contraction_count(3, 3) == 1
 
 
 def test_contraction_count_reads_the_sum_formula_of_the_higher_derangements(monkeypatch):
-    # C(k, p) times d_k^p by its sum formula, looked up on combinatorics at
-    # the call: a fault planted there reaches exactly the entry it touches.
+    # The unexported binding the benchmark's traced run wraps: C(k, p) times
+    # d_k^p by its sum formula, looked up on combinatorics at the call, so a
+    # fault planted there reaches exactly the entry it touches.
     closed_form = coefficients.combinatorics._closed_form
 
     def off_by_one(n, binomials, derangements):
         return closed_form(n, binomials, derangements) + ((n, len(binomials) - 1) == (5, 3))
 
     monkeypatch.setattr(coefficients.combinatorics, "_closed_form", off_by_one)
-    assert coefficient_by_contraction(5, 3) == 130 + 10
-    assert coefficient_by_contraction(5, 2) == 320
-    assert coefficient_by_contraction(4, 3) == 12
+    assert coefficients.coefficient_by_contraction(5, 3) == 130 + 10
+    assert coefficients.coefficient_by_contraction(5, 2) == 320
+    assert coefficients.coefficient_by_contraction(4, 3) == 12
 
 
 def test_recurrence_row_examples():
-    table = [None, *decomposition_rows(5)]
+    table = list(recurrence_rows(5))
     assert table[5].values == (44, 265, 320, 130, 20, 1)
     assert table[2].values[1] == 2
     for k in range(1, 6):
@@ -88,7 +92,7 @@ def test_recurrence_row_examples():
 
 
 def test_row_invariants():
-    for k, row in enumerate(decomposition_rows(20), start=1):
+    for k, row in enumerate(recurrence_rows(20)):
         assert row.power == k
         assert len(row.values) == k + 1
         assert row.values[0] == derangement(k)
@@ -98,9 +102,9 @@ def test_row_invariants():
 
 
 def test_routes_agree():
-    for k, row in decomposition_rows(16):
+    for k, row in recurrence_rows(16):
         for j in range(k + 1):
-            assert coefficient(k, j) == coefficient_by_contraction(k, j) == row[j]
+            assert coefficient(k, j) == contraction_count(k, j) == row[j]
 
 
 @st.composite
@@ -115,9 +119,9 @@ def test_routes_agree_on_random_indices(case):
     k, j = case
     assert (
         coefficient(k, j)
-        == coefficient_by_contraction(k, j)
+        == contraction_count(k, j)
         == coefficient_row(k).values[j]
-        == deque(decomposition_rows(k), 1)[0].values[j]
+        == deque(recurrence_rows(k), 1)[0].values[j]
     )
 
 
@@ -158,21 +162,18 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         coefficient(-1, 0)
     with pytest.raises(ValueError):
-        coefficient_by_contraction(2, 3)
-    with pytest.raises(ValueError):
-        decomposition_rows(0)
+        coefficients.coefficient_by_contraction(2, 3)
     with pytest.raises(ValueError):
         coefficient_row(-1)
 
 
-def test_decomposition_rows_validate_at_the_call():
-    # Raised by the call itself, before any row is drawn; the whole-table
-    # binding the benchmark's traced run wraps raises the same message.
-    message = r"^max_power must be >= 1$"
-    with pytest.raises(ValueError, match=message):
-        decomposition_rows(0)
-    with pytest.raises(ValueError, match=message):
+def test_decomposition_table_validates_at_the_call():
+    # The whole-table binding the benchmark's traced run wraps refuses a
+    # table without rows; the private stream it reads yields the seed row.
+    with pytest.raises(ValueError, match=r"^max_power must be >= 1$"):
         coefficients.decomposition_table(0)
+    assert coefficients.decomposition_table(2) == tuple(islice(recurrence_rows(2), 1, None))
+    assert list(recurrence_rows(0)) == [CoefficientRow(0, (1,))]
 
 
 def test_recurrence_seeds_every_row_from_one_derangement_pass(monkeypatch):
@@ -183,9 +184,9 @@ def test_recurrence_seeds_every_row_from_one_derangement_pass(monkeypatch):
         return derangement_numbers()
 
     monkeypatch.setattr(coefficients, "derangement_numbers", counted)
-    rows = {row.power: row.values for row in decomposition_rows(10)}
+    rows = {row.power: row.values for row in recurrence_rows(10)}
     assert passes == [0]
-    assert rows == GOLDEN_ROWS
+    assert rows == {0: (1,), **GOLDEN_ROWS}
 
 
 # Rendering lives in the CLI: decomposition tables print through its one
@@ -207,9 +208,8 @@ def test_render_markdown_row(capsys):
 def test_render_csv_rows(capsys):
     code, text = render(["--upto", "6", "--format", "csv"], capsys)
     assert code == 0
-    assert text.splitlines() == [
-        ",".join(map(str, (row.power, *row.values))) for row in decomposition_rows(6)
-    ]
+    rows = islice(recurrence_rows(6), 1, None)
+    assert text.splitlines() == [",".join(map(str, (row.power, *row.values))) for row in rows]
 
 
 def test_render_rejects_unknown_format(capsys):

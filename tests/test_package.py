@@ -42,11 +42,11 @@ def test_module_public_names_are_exported(module):
 PUBLIC_NAMES = [
     "BlockExtractionError", "CoefficientRow", "ENUMERATION_LIMIT", "ExactDivisionError",
     "PowerCheck", "PowerSeries", "StableLabel", "VerificationReport", "adjoint_labels",
-    "adjoint_power", "coefficient", "coefficient_by_contraction", "coefficient_row",
-    "decomposition_rows", "derangement", "derangement_enumeration_oracle", "derangement_numbers",
-    "dynkin_to_stable", "egf_coefficients", "euler_rows", "exact_div", "extract_stable_blocks",
-    "higher_derangement", "higher_derangement_rows", "leading_block_label", "stable_to_dynkin",
-    "tensor_with_adjoint", "trivial_labels", "verify_stable_decomposition", "weyl_dimension",
+    "adjoint_power", "coefficient", "coefficient_row", "derangement",
+    "derangement_enumeration_oracle", "derangement_numbers", "dynkin_to_stable",
+    "egf_coefficients", "euler_rows", "exact_div", "extract_stable_blocks", "higher_derangement",
+    "higher_derangement_rows", "leading_block_label", "stable_to_dynkin", "tensor_with_adjoint",
+    "trivial_labels", "verify_stable_decomposition", "weyl_dimension",
 ]
 
 

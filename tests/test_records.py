@@ -82,26 +82,11 @@ def test_power_check_requires_every_field():
     assert power_check(residual={label: (0, -1)}).passed is False
 
 
-def test_power_check_reads_leading_and_negative_entries_from_its_residual():
-    # Neither is stored, so neither can disagree with the residual: the
-    # leading label [(k), (k)] must not be in it, and a label of fewer than
-    # k boxes a side held fewer times than predicted is a negative entry,
-    # observed - expected, of block k.
-    leading, short = StableLabel((2,), (2,)), StableLabel((1,), (1,))
-    full = StableLabel((1, 1), (2,))
-    check = power_check(power=2, residual={short: (4, 1), full: (1, 0)})
-    assert check.leading_ok and check.negative_entries == {short: -3}
-    check = power_check(power=2, residual={leading: (1, 0), short: (4, 6)})
-    assert not check.leading_ok and check.negative_entries == {}
-    assert "leading_ok" not in PowerCheck._fields and "negative_entries" not in PowerCheck._fields
-
-
 def test_verification_report_verdict_is_its_checks():
     # The verdict is derived, not stored, so it cannot disagree with the checks.
     assert "passed" not in VerificationReport._fields
     assert VerificationReport(1, 3, [power_check()]).passed is True
     failing = power_check(residual={StableLabel((1,), (1,)): (1, 0)})
-    assert not failing.leading_ok
     assert VerificationReport(1, 3, [power_check(), failing]).passed is False
 
 
