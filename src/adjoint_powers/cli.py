@@ -65,8 +65,9 @@ SERIES_ORDER_LIMIT = 2500
 #: derangements adds O(max) products per entry, O(max^3) big-integer steps in all.
 COMBINATORICS_LIMIT = 300
 #: Largest ``verify oracle --kmax``: the irreps roughly double with each power.
-#: ``verify oracle --kmax 16 --n 200``, the largest request, took 5.7-7.6 s and
-#: 147 MB in three runs (earlier ones 5.1-12 s); ``--kmax 17 --n 120`` took 13 s.
+#: ``verify oracle --kmax 16 --n 200``, the largest request, took 4.9-6.7 s and
+#: 101 MB in three runs (earlier ones 5.1-12 s); ``--kmax 17 --n 120`` took 13 s
+#: in an earlier run, and peaks at 136 MB in process.
 ORACLE_KMAX_LIMIT = 16
 #: Largest ``verify oracle --n``: each label's packed key, its bytes and the
 #: pass over them that measures it grow linearly with the rank.

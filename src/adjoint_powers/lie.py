@@ -28,7 +28,9 @@ dominant chamber.  One Pieri body serves both passes, given the pass's
 fixed move and its deltas.  Inside a step each label is packed into
 one int, one byte per Dynkin label in little-endian order, so a box
 move is one integer addition that no byte carries out of, and the
-step returns keys of the type it was given.  A label is measured by
+step returns keys of the type it was given.  The step holds one full
+table at a time: it packs no list of input keys, and it drains each
+Pieri pass's table as the next stage reads it.  A label is measured by
 one pass over its runs of equal parts, one run per nonzero Dynkin
 label, found inside the split, so nothing builds an (n+1)-vector: the
 pass splits the highest weight at the floor of its mean part into a
@@ -42,7 +44,8 @@ for its rank and keeps it for the run, and measures its own step's
 labels without validating them again.  A label and its dual (the
 reversed labels) share one stored measurement, read by the dual with
 its sides swapped: at (10, 19), 1,861 serve the 3,583 distinct labels,
-and D(N) and f are computed for 139 partitions, one shared tuple each.
+and D(N), f, the box count and the shifted parts l_i - i are computed
+for 139 partitions, one shared tuple each.
 Power k's coefficients come from one coefficient_row(k); the labels
 the formula expects are counted, and enumerated only on a shortfall.
 """
@@ -50,7 +53,7 @@ the formula expects are counted, and enumerated only on a shortfall.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, compress, product, repeat
+from itertools import chain, compress, product, repeat, starmap
 from math import factorial, perm, prod
 from operator import ge, sub
 
@@ -87,11 +90,13 @@ def _check_rank(n: int) -> None:
 
 def _check_labels(keys, n: int) -> None:
     """Refuse a state, or a 1-tuple of labels, unless every label holds n
-    nonnegative ints: one C-level pass per property, the int pass skipped
-    for bytes keys; a failed pass loops only to name the first bad label."""
-    entries = () if set(map(type, keys)) == {bytes} else chain.from_iterable(keys)
+    nonnegative ints: one C-level pass per property, the int and sign
+    passes skipped when every key is bytes, whose entries are ints from 0
+    to 255; a failed pass loops only to name the first bad label."""
+    all_bytes = set(map(type, keys)) == {bytes}
+    entries = () if all_bytes else chain.from_iterable(keys)
     valid = set(map(len, keys)) == {n} and set(map(type, entries)) <= {int}
-    if valid and min(map(min, keys)) >= 0:
+    if valid and (all_bytes or min(map(min, keys)) >= 0):
         return
     for labels in keys:
         if len(labels) != n:
@@ -115,6 +120,11 @@ def adjoint_labels(n: int) -> Labels:
     return (1,) + (0,) * (n - 2) + (1,)
 
 
+def _shifted(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The shifted parts l_i - i of a partition, rows counted from 0."""
+    return tuple(part - i for i, part in enumerate(parts))
+
+
 def _partition_dimension(parts: tuple[int, ...], rows: int) -> int:
     """D_lambda(N): Weyl's product over i < j of (l_i - l_j + j - i) / (j - i)
     for the partition lambda padded with zeros to N = rows rows, the
@@ -128,7 +138,7 @@ def _partition_dimension(parts: tuple[int, ...], rows: int) -> int:
     (N - 1 - i)!.  The single division is exact and checked.
     """
     zeros = rows - len(parts)
-    shifted = [part - i for i, part in enumerate(parts)]
+    shifted = _shifted(parts)
     numerator = denominator = 1
     for i, top in enumerate(shifted):
         numerator *= perm(top + rows - 1, zeros) * prod(map(top.__sub__, shifted[i + 1 :]))
@@ -167,25 +177,25 @@ def _pair_dimension(
     left: tuple[int, ...], right: tuple[int, ...], rows: int, d_left: int, d_right: int
 ) -> int:
     """dim [lambda, mu] at N = rows, by the factored form of Weyl's product,
-    given D(N) of each side (:func:`_partition_dimension`).
+    given the shifted parts of each side (:func:`_shifted`) and its D(N)
+    (:func:`_partition_dimension`).
 
     With rows i of lambda and j of mu counted from 0, so that
     d = N - 1 - i - j, the cross factor of the pair is
     (d + l_i + m_j) d / ((d + l_i)(d + m_j)).  The d and the d + l_i
     run over consecutive integers as j does, and the d + m_j as i does,
-    so their products are falling factorials; only the d + l_i + m_j
-    need the double loop.
+    so their products are falling factorials; only the
+    d + l_i + m_j = (N - 1 + l_i - i) + (m_j - j) need the double loop.
     """
     numerator = d_left * d_right
     denominator = 1
     across, down = len(right), len(left)
-    shifted = [m - j for j, m in enumerate(right)]
     for i, part in enumerate(left):
-        top = rows - 1 - i + part
-        numerator *= perm(rows - 1 - i, across) * prod(map(top.__add__, shifted))
+        top = rows - 1 + part
+        numerator *= perm(rows - 1 - i, across) * prod(map(top.__add__, right))
         denominator *= perm(top, across)
-    for j, part in enumerate(right):
-        denominator *= perm(rows - 1 - j + part, down)
+    for part in right:
+        denominator *= perm(rows - 1 + part, down)
     return exact_div(numerator, denominator)
 
 
@@ -215,9 +225,8 @@ def weyl_dimension(labels: Labels, n: int) -> int:
     _check_rank(n)
     _check_labels((labels,), n)
     left, right, _ = _split(labels, n)
-    return _pair_dimension(
-        left, right, n + 1, _partition_dimension(left, n + 1), _partition_dimension(right, n + 1)
-    )
+    sides = (_partition_dimension(left, n + 1), _partition_dimension(right, n + 1))
+    return _pair_dimension(_shifted(left), _shifted(right), n + 1, *sides)
 
 
 def _pieri(entries, always: int, deltas: list[int], n: int) -> dict[int, int]:
@@ -232,6 +241,12 @@ def _pieri(entries, always: int, deltas: list[int], n: int) -> dict[int, int]:
             moved = key + delta
             out[moved] = out.get(moved, 0) + mult
     return out
+
+
+def _drain(table: dict):
+    """The (key, value) pairs of ``table``, each popped as it is read, so
+    an entry is freed once its reader moves on; the table ends empty."""
+    return starmap(table.popitem, repeat((), len(table)))
 
 
 def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
@@ -259,8 +274,14 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
     nothing borrows, and a step raises an entry by at most 2, so no
     byte passes 255 and none carries into its neighbour.  The rows a
     move may touch are read in C, by compress over the key's bytes.
-    Keys are unpacked once, at the end of the step.  A label of power k
-    has no entry above 2k, so the powers up to 127 stay in the domain.
+    The step holds one full table at a time: an input label is packed
+    as the V pass reads it, and again when it is subtracted; the V
+    pass's table is drained, entry by entry, as the V* pass reads it;
+    and the V* pass's table is drained as its keys are unpacked, once,
+    at the end of the step, so the result's order is not the order in
+    which the V* pass found its labels; callers must not rely on it.  A
+    label of power k has no entry above 2k, so the powers up to 127 stay
+    in the domain.
     """
     _check_rank(n)
     if not state:
@@ -285,12 +306,13 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
     # at a nonzero a_p, row p loses one.
     gain = [b - a for a, b in zip(field, field[1:] + [0])]
     lose = [b - a for a, b in zip(field, [0] + field[:-1])]
-    keys = list(map(int.from_bytes, state, repeat("little")))
     # Row 0 gains a box, raising a_0; then row n loses one, raising a_{n-1}.
+    keys = map(int.from_bytes, state, repeat("little"))
     gained = _pieri(zip(keys, state.values()), field[0], gain, n)
-    out = _pieri(gained.items(), field[-1], lose, n)
+    out = _pieri(_drain(gained), field[-1], lose, n)
     del gained
-    for key, (labels, mult) in zip(keys, state.items()):
+    for labels, mult in state.items():
+        key = int.from_bytes(labels, "little")
         left = out.get(key, 0) - mult
         if left < 0:
             raise ArithmeticError(
@@ -300,10 +322,9 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
             out[key] = left
         else:
             del out[key]
-    unpacked = map(int.to_bytes, out, repeat(n), repeat("little"))
     if as_bytes:
-        return dict(zip(unpacked, out.values()))
-    return dict(zip(map(tuple, unpacked), out.values()))
+        return {key.to_bytes(n, "little"): mult for key, mult in _drain(out)}
+    return {tuple(key.to_bytes(n, "little")): mult for key, mult in _drain(out)}
 
 
 def adjoint_power(k: int, n: int) -> dict[Labels, int]:
@@ -480,9 +501,10 @@ def _certified_powers(k_max: int, n: int):
     # sides swapped.  At (10, 19), 1,861 entries serve 3,583 labels.  The
     # step's own labels are not validated again.
     measured: dict[bytes, tuple[tuple, tuple, int]] = {}
-    # Per partition, (the partition, D(N) at this rank, f^lambda), made
-    # once and shared by every entry with that side.
-    shapes: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = {}
+    # Per partition, (the partition, D(N) at this rank, f^lambda, its box
+    # count, its shifted parts), made once and shared by every entry with
+    # that side.
+    shapes: dict[tuple[int, ...], tuple[tuple[int, ...], int, int, int, tuple[int, ...]]] = {}
     counts = [len(_partitions(j)) for j in range(k_max + 1)]
     for k in range(k_max + 1):
         if k:
@@ -505,13 +527,14 @@ def _certified_powers(k_max: int, n: int):
                     )
                 for side in (lam, mu):
                     if side not in shapes:
-                        shapes[side] = (side, _partition_dimension(side, n + 1), _tableaux(side))
+                        d_side = _partition_dimension(side, n + 1)
+                        shapes[side] = (side, d_side, _tableaux(side), sum(side), _shifted(side))
                 left, right = shapes[lam], shapes[mu]
-                dim = _pair_dimension(lam, mu, n + 1, left[1], right[1])
+                dim = _pair_dimension(left[4], right[4], n + 1, left[1], right[1])
                 measured[lab] = left, right, dim
             dimension += m * dim
             # Both sides hold the same number of boxes; from a sound step, at most k.
-            boxes = sum(left[0])
+            boxes = left[3]
             expected = row[boxes] * left[2] * right[2] if boxes <= k else 0
             present += expected != 0
             if m != expected:
