@@ -65,9 +65,10 @@ SERIES_ORDER_LIMIT = 2500
 #: derangements adds O(max) products per entry, O(max^3) big-integer steps in all.
 COMBINATORICS_LIMIT = 300
 #: Largest ``verify oracle --kmax``: the irreps roughly double with each power.
-#: ``verify oracle --kmax 16 --n 200``, the largest request, took 4.9-6.7 s and
-#: 101 MB in three runs (earlier ones 5.1-12 s); ``--kmax 17 --n 120`` took 13 s
-#: in an earlier run, and peaks at 136 MB in process.
+#: ``verify oracle --kmax 16 --n 200``, the largest request, took 3.7-4.1 s and
+#: 98 MB in three runs (earlier ones 4.9-12 s).  Power 17, beyond the limit, took
+#: 5.4-5.8 s and 128 MB at rank 120 and 6.6-8.0 s and 158 MB at rank 200, in
+#: process (three runs each).
 ORACLE_KMAX_LIMIT = 16
 #: Largest ``verify oracle --n``: each label's packed key, its bytes and the
 #: pass over them that measures it grow linearly with the rank.

@@ -24,14 +24,15 @@ up to 127.  Tensor steps always multiply by the adjoint, factored
 through V x V* = adjoint + trivial: Pieri's rule for the defining rep
 V adds a box to a row, Pieri's rule for its dual removes one, and the
 input state is subtracted once, so no weight is reflected to the
-dominant chamber.  One Pieri body serves both passes, given the pass's
-fixed move and its deltas.  Inside a step each label is packed into
-one int, one byte per Dynkin label in little-endian order, so a box
-move is one integer addition that no byte carries out of, and the
-step returns keys of the type it was given.  The step holds one full
-table at a time: it packs no list of input keys, and it drains each
-Pieri pass's table as the next stage reads it.  A label is measured by
-one pass over its runs of equal parts, one run per nonzero Dynkin
+dominant chamber.  Inside a step each label is moved as one int, one
+byte per Dynkin label in little-endian order, so a box move is one
+integer addition that no byte carries out of.  The V pass keys its
+table by these ints; the V* pass drains that table and stores each
+image under its bytes, so its table is a bytes state's result as it
+stands, with no unpacking stage, and a tuple state's result is that
+table drained once into tuple keys.  The step holds one full table at
+a time, and packs no list of input keys.  A label is measured by one
+pass over its runs of equal parts, one run per nonzero Dynkin
 label, found inside the split, so nothing builds an (n+1)-vector: the
 pass splits the highest weight at the floor of its mean part into a
 pair [lambda, mu] of partitions, for the oracle's labels exactly the
@@ -243,6 +244,21 @@ def _pieri(entries, always: int, deltas: list[int], n: int) -> dict[int, int]:
     return out
 
 
+def _pieri_to_bytes(entries, always: int, deltas: list[int], n: int) -> dict[bytes, int]:
+    """:func:`_pieri` storing each image under image.to_bytes(n, "little"):
+    the V* pass, whose table is a bytes state's result.  The body is
+    written out again, not shared with _pieri through a packing callable,
+    since a call per image made the step slower."""
+    out: dict[bytes, int] = {}
+    for key, mult in entries:
+        moved = (key + always).to_bytes(n, "little")
+        out[moved] = out.get(moved, 0) + mult
+        for delta in compress(deltas, key.to_bytes(n, "little")):
+            moved = (key + delta).to_bytes(n, "little")
+            out[moved] = out.get(moved, 0) + mult
+    return out
+
+
 def _drain(table: dict):
     """The (key, value) pairs of ``table``, each popped as it is read, so
     an entry is freed once its reader moves on; the table ends empty."""
@@ -256,8 +272,9 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
     Pieri for V adds a box to every row i where the result is dominant
     (i = 0 or a_{i-1} > 0); the intermediate labels are merged, then
     Pieri for V* removes a box from every row j where the result is
-    dominant (j = n or a_j > 0).  Both passes are one body, _pieri,
-    called with the pass's fixed move and deltas.  Subtracting the input
+    dominant (j = n or a_j > 0).  Each pass is called with its fixed
+    move and deltas: the V pass is _pieri, keyed by packed ints, and the
+    V* pass is _pieri_to_bytes, keyed by bytes.  Subtracting the input
     state once removes the trivial summand; a multiplicity that would go
     negative raises instead of being clamped.  No weight is reflected.
     Multiplicities must be positive ints: a float, a Fraction or a bool
@@ -266,22 +283,26 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
     Labels are tuples of n nonnegative ints, or bytes of length n, with
     every entry at most 253; a label with a larger entry raises
     ValueError.  The result is keyed by bytes when every input label is
-    bytes, and by tuples otherwise.  Inside the step a label is one
-    int, packed by int.from_bytes in little-endian order with one byte
-    per Dynkin label, so a box move is one addition of a precomputed
+    bytes, and by tuples otherwise.  Inside the step a label is moved as
+    one int, packed by int.from_bytes in little-endian order with one
+    byte per Dynkin label, so a box move is one addition of a precomputed
     delta: a box added to row p + 1 adds byte(p + 1) - byte(p), lowering
     a_p and raising a_{p+1}.  A move lowers only a nonzero byte, so
     nothing borrows, and a step raises an entry by at most 2, so no
     byte passes 255 and none carries into its neighbour.  The rows a
     move may touch are read in C, by compress over the key's bytes.
     The step holds one full table at a time: an input label is packed
-    as the V pass reads it, and again when it is subtracted; the V
-    pass's table is drained, entry by entry, as the V* pass reads it;
-    and the V* pass's table is drained as its keys are unpacked, once,
-    at the end of the step, so the result's order is not the order in
-    which the V* pass found its labels; callers must not rely on it.  A
-    label of power k has no entry above 2k, so the powers up to 127 stay
-    in the domain.
+    as the V pass reads it, and the V pass's table, keyed by the packed
+    ints, is drained, entry by entry, as the V* pass reads it.  The V*
+    pass stores each image under its bytes, and the trivial summand is
+    subtracted there, each input label looked up as bytes.  So for a
+    bytes state that table is returned as it stands, in the order in
+    which the V* pass found its labels, with no unpacking stage, and for
+    a tuple or mixed state it is drained once into tuple keys, in the
+    reverse order; callers must not rely on either order.  The V pass
+    keeps its packed int keys because bytes keys in both passes, which
+    save no more memory, made the step slower.  A label of power k has
+    no entry above 2k, so the powers up to 127 stay in the domain.
     """
     _check_rank(n)
     if not state:
@@ -294,12 +315,15 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
                     f"multiplicities must be positive ints, got {mult!r} for {tuple(labels)}"
                 )
     as_bytes = set(map(type, state)) == {bytes}
-    widest = max(state, key=max)
-    if max(widest) > 253:
-        raise ValueError(
-            f"label {tuple(widest)} has an entry above 253, which the step"
-            " could raise past the 255 of one byte"
-        )
+    # Bytes labels below 128, as every oracle power's, pass by one C call
+    # each; only another state is scanned for its largest entry.
+    if not (as_bytes and all(map(bytes.isascii, state))):
+        widest = max(state, key=max)
+        if max(widest) > 253:
+            raise ValueError(
+                f"label {tuple(widest)} has an entry above 253, which the step"
+                " could raise past the 255 of one byte"
+            )
     # field[p] is the packed unit of Dynkin label a_p, its byte p.
     field = [1 << 8 * p for p in range(n)]
     # Pieri for V: below a nonzero a_p, row p + 1 gains a box.  For V*:
@@ -309,22 +333,19 @@ def tensor_with_adjoint(state: dict[Labels, int], n: int) -> dict[Labels, int]:
     # Row 0 gains a box, raising a_0; then row n loses one, raising a_{n-1}.
     keys = map(int.from_bytes, state, repeat("little"))
     gained = _pieri(zip(keys, state.values()), field[0], gain, n)
-    out = _pieri(_drain(gained), field[-1], lose, n)
+    out = _pieri_to_bytes(_drain(gained), field[-1], lose, n)
     del gained
-    for labels, mult in state.items():
-        key = int.from_bytes(labels, "little")
+    for key, mult in zip(state if as_bytes else map(bytes, state), state.values()):
         left = out.get(key, 0) - mult
         if left < 0:
-            raise ArithmeticError(
-                f"{tuple(labels)} occurs fewer than {mult} times in V x V* x state"
-            )
+            raise ArithmeticError(f"{tuple(key)} occurs fewer than {mult} times in V x V* x state")
         if left:
             out[key] = left
         else:
             del out[key]
     if as_bytes:
-        return {key.to_bytes(n, "little"): mult for key, mult in _drain(out)}
-    return {tuple(key.to_bytes(n, "little")): mult for key, mult in _drain(out)}
+        return out
+    return {tuple(key): mult for key, mult in _drain(out)}
 
 
 def adjoint_power(k: int, n: int) -> dict[Labels, int]:

@@ -533,21 +533,52 @@ def test_mixed_label_types_give_tuples():
 )
 def test_lost_trivial_summand_names_the_input_label(state, lost, mult, monkeypatch):
     # V x V* x state holds each input label at least as often as the
-    # state does, once for the trivial summand.  A Pieri pass that loses
+    # state does, once for the trivial summand.  A V* pass that loses
     # every image on one input label leaves the subtraction short: the
     # step raises, naming that label as a tuple, instead of clamping.
-    pieri = lie._pieri
-    packed = int.from_bytes(bytes(lost), "little")
+    # The V* pass keys its table by bytes, whatever the state's key type,
+    # so the fault is planted there.
+    pieri_to_bytes = lie._pieri_to_bytes
 
     def lossy(entries, always, deltas, n):
-        out = pieri(entries, always, deltas, n)
-        out.pop(packed, None)
+        out = pieri_to_bytes(entries, always, deltas, n)
+        out.pop(bytes(lost), None)
         return out
 
-    monkeypatch.setattr(lie, "_pieri", lossy)
+    monkeypatch.setattr(lie, "_pieri_to_bytes", lossy)
     message = rf"^{re.escape(str(lost))} occurs fewer than {mult} times in V x V\* x state$"
     with pytest.raises(ArithmeticError, match=message):
         tensor_with_adjoint(state, 3)
+
+
+@pytest.mark.parametrize(
+    "state,drains,key_type",
+    [
+        ({bytes(3): 1, b"\x01\x00\x01": 2}, 1, bytes),
+        ({(0, 0, 0): 1, (1, 0, 1): 2}, 2, tuple),
+        ({bytes(3): 1, (1, 0, 1): 2}, 2, tuple),
+    ],
+    ids=["bytes", "tuple", "mixed"],
+)
+def test_bytes_step_returns_its_v_star_table(state, drains, key_type, monkeypatch):
+    # The V* pass keys its table by bytes, so a bytes state's result is
+    # that table: the step drains only the V pass's table.  A tuple or
+    # mixed state's result is the V* table drained once more into tuples.
+    calls = []
+    drain = lie._drain
+
+    def counted_drain(table):
+        calls.append(len(table))
+        return drain(table)
+
+    monkeypatch.setattr(lie, "_drain", counted_drain)
+    result = tensor_with_adjoint(state, 3)
+    assert len(calls) == drains
+    assert {type(labels) for labels in result} == {key_type}
+    tuples = {tuple(labels): m for labels, m in state.items()}
+    assert {tuple(labels): m for labels, m in result.items()} == box_move_tensor_with_adjoint(
+        tuples, 3
+    )
 
 
 def test_tensor_rejects_bad_multiplicity():
@@ -967,18 +998,20 @@ def test_measurement_cache_holds_one_entry_per_dual_pair():
 
 def test_headline_certification_stays_under_its_traced_peak():
     # No block is held, the cache holds one entry per dual pair, and the
-    # tensor step holds one full Pieri table at a time.  The traced peak
+    # tensor step holds one full Pieri table at a time, returning its V*
+    # pass's bytes-keyed table with no unpacking stage.  The traced peak
     # of the (10, 19) certification was 1.94-1.97 MiB on CPython 3.10-3.12
     # while every extracted block was kept and both labels of each pair
     # cached; on CPython 3.11 it was 1.32 MiB while the step also kept its
-    # packed input keys and both Pieri tables at once, and is 1.11 MiB now.
+    # packed input keys and both Pieri tables at once, 1.12 MiB while it
+    # unpacked an int-keyed V* table into a new dict, and is 1.04 MiB now.
     tracemalloc.start()
     try:
         assert verify_stable_decomposition(10, 19).passed
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * 2**20
+    assert peak < 1.08 * 2**20
 
 
 def test_block_extraction_reads_one_coefficient_row_per_power(monkeypatch):
